@@ -6,20 +6,12 @@ computes the optimal secondary beamformer under a secondary-rate QoS
 constraint for eavesdroppers that either treat the secondary signal as
 noise or jointly decode it, and ships a seeded Monte Carlo harness for
 comparing both against the silent-secondary and no-eavesdropper baselines.
+The solvers live in leasesec.solver, the boundary machinery in
+leasesec.pgr.
 """
 
-from .model import (
-    ChannelSet,
-    DegenerateChannelError,
-    SystemParams,
-    TrialSeed,
-    mrt_beamformer,
-    sample_channels,
-)
+from .model import SystemParams, TrialSeed, mrt_beamformer, sample_channels
 from .rates import (
-    JdRateBundle,
-    RegimeLabel,
-    jd_rate_bundle,
     no_leasing_secrecy,
     peaceful_rate,
     r_s_max,
@@ -28,29 +20,15 @@ from .rates import (
     secrecy_rate_jd,
     secrecy_rate_sd,
 )
-from .pgr import (
-    BoundaryPoint,
-    admissible_powers,
-    boundary_beamformer,
-    export_boundary,
-    power_gains,
-    sample_simplex,
-)
-from .solver import OptResult, brute_force_jd, brute_force_sd, solve_jd, solve_sd
-from .harness import SweepConfig, SweepRow, run_sweep, summarize
+from .harness import SweepConfig, run_sweep, summarize
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChannelSet",
-    "DegenerateChannelError",
     "SystemParams",
     "TrialSeed",
     "mrt_beamformer",
     "sample_channels",
-    "JdRateBundle",
-    "RegimeLabel",
-    "jd_rate_bundle",
     "no_leasing_secrecy",
     "peaceful_rate",
     "r_s_max",
@@ -58,19 +36,7 @@ __all__ = [
     "secondary_rate",
     "secrecy_rate_jd",
     "secrecy_rate_sd",
-    "BoundaryPoint",
-    "admissible_powers",
-    "boundary_beamformer",
-    "export_boundary",
-    "power_gains",
-    "sample_simplex",
-    "OptResult",
-    "brute_force_jd",
-    "brute_force_sd",
-    "solve_jd",
-    "solve_sd",
     "SweepConfig",
-    "SweepRow",
     "run_sweep",
     "summarize",
 ]

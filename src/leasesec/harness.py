@@ -9,6 +9,7 @@ of its seed, and aggregation always runs in trial order.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -121,26 +122,27 @@ def _trial_values(cfg: SweepConfig, nt: int, trial_index: int) -> tuple:
     return ch.resamples, out
 
 
-def _trial_task(args) -> tuple:
-    cfg_dict, nt, trial_index = args
-    return _trial_values(SweepConfig(**cfg_dict), nt, trial_index)
-
-
 def run_sweep(cfg: SweepConfig, workers: int = 1) -> list[SweepRow]:
     """Run the whole sweep; rows come back in (decoder, nt, alpha, snr) order.
 
-    workers > 1 distributes trials over processes; the output is identical
-    for any worker count because trials are independent and the reduction
-    runs in trial order.
+    workers > 1 distributes all (nt, trial) tasks over one process pool,
+    about four chunks per worker; the output is identical for any worker
+    count because trials are independent and the reduction runs in trial
+    order.
     """
-    results: dict[int, list] = {}
-    for nt in cfg.nt_list:
-        tasks = [(vars(cfg), nt, t) for t in range(cfg.trials)]
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results[nt] = list(pool.map(_trial_task, tasks, chunksize=8))
-        else:
-            results[nt] = [_trial_task(t) for t in tasks]
+    nts = [nt for nt in cfg.nt_list for _ in range(cfg.trials)]
+    trial_ids = [t for _ in cfg.nt_list for t in range(cfg.trials)]
+    task = functools.partial(_trial_values, cfg)
+    if workers > 1:
+        chunksize = max(1, len(nts) // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outs = list(pool.map(task, nts, trial_ids, chunksize=chunksize))
+    else:
+        outs = list(map(task, nts, trial_ids))
+    results = {
+        nt: outs[i * cfg.trials:(i + 1) * cfg.trials]
+        for i, nt in enumerate(cfg.nt_list)
+    }
 
     rows = []
     for dec in sorted(cfg.decoders):

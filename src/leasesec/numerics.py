@@ -1,26 +1,19 @@
-"""Complex vector helpers and max-eigenpairs of low-rank Hermitian sums.
+"""Complex vector helpers and the small eigensolver behind the boundary sweeps.
 
-The matrices that show up here are always of the form Z = sum_k c_k h_k h_k^*
-with at most three terms, so the eigenproblem is solved in the span of the
-h_k (dimension <= 3) and the zero eigenvalue of the orthogonal complement is
-accounted for separately.  Cost is therefore independent of the ambient
-dimension.
+The matrices of interest are always Z = sum_k c_k h_k h_k^* with at most
+three terms.  pgr.boundary_sweep solves their eigenproblems in the span of
+the h_k (dimension <= 3) with jacobi_eigh and accounts for the zero
+eigenvalue of the orthogonal complement separately, so the cost does not
+depend on the ambient dimension.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-__all__ = [
-    "RankTermSum",
-    "inner",
-    "orthonormal_span_basis",
-    "max_eigpair",
-    "jacobi_eigh",
-]
+__all__ = ["inner", "orthonormal_span_basis", "jacobi_eigh"]
 
 # Residual threshold for dropping a vector from a span basis.
 DEFAULT_SPAN_TOL = 1e-10
@@ -42,51 +35,6 @@ def inner(a: np.ndarray, b: np.ndarray) -> complex:
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return complex(np.vdot(a, b))
-
-
-@dataclass(frozen=True)
-class RankTermSum:
-    """Hermitian matrix sum_k coefficients[k] * vectors[k] vectors[k]^*.
-
-    vectors has shape (k, n) with 1 <= k <= 3 here; coefficients are real
-    and may be zero or negative.  Zero-coefficient vectors still take part
-    in the span basis so that the term layout (not the weights) fixes the
-    basis deterministically.
-    """
-
-    coefficients: np.ndarray
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=float)
-        v = np.atleast_2d(np.asarray(self.vectors, dtype=np.complex128))
-        if c.ndim != 1 or v.ndim != 2 or c.shape[0] != v.shape[0]:
-            raise ValueError("need one coefficient per vector")
-        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(v))):
-            raise ValueError("non-finite term in rank sum")
-        object.__setattr__(self, "coefficients", c)
-        object.__setattr__(self, "vectors", v)
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
-
-    def dense(self) -> np.ndarray:
-        """Materialize the full n x n Hermitian matrix (tests, small n)."""
-        n = self.dim
-        z = np.zeros((n, n), dtype=np.complex128)
-        for c, h in zip(self.coefficients, self.vectors):
-            z += c * np.outer(h, np.conj(h))
-        return z
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return sum(
-            c * h * np.vdot(h, x) for c, h in zip(self.coefficients, self.vectors)
-        )
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        norms2 = np.sum(np.abs(self.vectors) ** 2, axis=1)
-        return bool(np.all(np.abs(self.coefficients) * norms2 <= tol))
 
 
 def orthonormal_span_basis(
@@ -232,41 +180,3 @@ def _complement_vector(basis: list[np.ndarray], n: int) -> np.ndarray:
     norms = [np.linalg.norm(u) for u in res]
     j = int(np.argmax(norms))
     return fix_phase(res[j] / norms[j])
-
-
-def max_eigpair(Z: RankTermSum, tol: float = DEFAULT_SPAN_TOL):
-    """Largest eigenvalue and a unit eigenvector of the full matrix Z.
-
-    Solved in the span of the term vectors; when that span is a strict
-    subspace the orthogonal complement contributes eigenvalue 0, so the
-    result is max(lambda_in_span, 0).  Ties within TIE_TOL keep the in-span
-    eigenvector.  The eigenvector phase is fixed so its largest-magnitude
-    entry is real nonnegative.
-    """
-    n = Z.dim
-    basis = orthonormal_span_basis(list(Z.vectors), tol)
-    if not basis:
-        # all-zero Z: eigenvalue 0 with an arbitrary (first canonical) vector
-        v = np.zeros(n, dtype=np.complex128)
-        v[0] = 1.0
-        return 0.0, v
-    B = np.column_stack(basis)
-    ht = np.conj(B.T) @ Z.vectors.T  # projected term vectors, (r, k)
-    outers = np.einsum("ik,jk->kij", ht, np.conj(ht))
-    S = np.einsum("k,kij->ij", Z.coefficients, outers)
-    S = (S + np.conj(S.T)) / 2.0
-    vals, vecs = jacobi_eigh(S)
-    lam_span = float(vals[-1])
-    coords = canonical_top_coords(
-        vals[None, :], vecs[None, :, :], np.linalg.norm(S)[None]
-    )[0]
-    v_span = B @ coords
-    r = len(basis)
-    if r < n:
-        if lam_span < -TIE_TOL:
-            return 0.0, _complement_vector(basis, n)
-        lam = max(lam_span, 0.0)
-    else:
-        lam = lam_span
-    v_span = v_span / np.linalg.norm(v_span)
-    return lam, fix_phase(v_span)

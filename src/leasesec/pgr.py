@@ -4,8 +4,9 @@ A beamformer w induces the gain triple (|w^* h_sp|^2, |w^* h_se|^2,
 |w^* h_ss|^2).  Outer-boundary points of the region of achievable triples in
 a sign direction e are swept by weighting the channels over the probability
 simplex, taking the top eigenvector of Z = sum_k mu_k e_k h_k h_k^*, and
-scaling by an admissible power.  The batched sweep shares one span basis per
-channel set so the per-point cost does not grow with n_t.
+scaling by a transmit power.  boundary_sweep is the one eigen path: it
+shares one span basis per channel set, so the per-point cost does not grow
+with n_t, and a single boundary point is a one-row sweep.
 """
 
 from __future__ import annotations
@@ -21,26 +22,22 @@ from .model import ChannelSet
 from .numerics import (
     DEFAULT_SPAN_TOL,
     TIE_TOL,
-    RankTermSum,
     canonical_top_coords,
     fix_phase,
     jacobi_eigh,
-    max_eigpair,
     orthonormal_span_basis,
     _complement_vector,
 )
 
 __all__ = [
+    "CSV_HEADER",
     "DIRECTION_SUPPRESS_PRIMARY",
     "DIRECTION_SUPPRESS_PRIMARY_AND_EVE",
     "DIRECTION_TWO_TERM",
-    "BoundaryPoint",
-    "PowerSet",
     "power_gains",
     "sample_simplex",
     "boundary_beamformer",
     "boundary_sweep",
-    "admissible_powers",
     "export_boundary",
 ]
 
@@ -50,8 +47,6 @@ DIRECTION_SUPPRESS_PRIMARY = (-1, 1, 1)
 DIRECTION_SUPPRESS_PRIMARY_AND_EVE = (-1, -1, 1)
 # Two-term family over (h_sp, h_ss) only; the eavesdropper channel is unused.
 DIRECTION_TWO_TERM = (-1, 1)
-
-INTERVAL_GRID_POINTS = 64
 
 CSV_HEADER = "mu1,mu2,mu3,e1,e2,e3,power,gain_sp,gain_se,gain_ss,lambda_max"
 
@@ -66,26 +61,6 @@ class BoundaryPoint:
     w: np.ndarray
     gains: tuple  # (gain_sp, gain_se, gain_ss)
     lambda_max: float
-    degenerate: bool = False
-
-
-@dataclass(frozen=True)
-class PowerSet:
-    """Admissible transmit powers for one boundary direction.
-
-    kind is "full" (only the budget), "interval" (anything in [0, budget]),
-    or "zero" (stay silent).
-    """
-
-    kind: str
-    p_s_max: float
-
-    def levels(self, n: int = INTERVAL_GRID_POINTS) -> np.ndarray:
-        if self.kind == "full":
-            return np.array([self.p_s_max])
-        if self.kind == "zero":
-            return np.array([0.0])
-        return np.linspace(0.0, self.p_s_max, n)
 
 
 def power_gains(w: np.ndarray, ch: ChannelSet) -> tuple:
@@ -117,24 +92,6 @@ def _term_channels(ch: ChannelSet, k: int) -> np.ndarray:
     if k == 3:
         return ch.secondary_vectors()
     return np.stack([ch.h_sp, ch.h_ss])
-
-
-def admissible_powers(
-    lambda_max: float, n: int, k: int, p_s_max: float, tol: float = 0.0
-) -> PowerSet:
-    """Power rule for a boundary direction with top eigenvalue lambda_max.
-
-    Full budget whenever lambda_max > 0 or the antenna count reaches the
-    number of receivers; the whole interval [0, p_s_max] at lambda_max == 0;
-    zero power when lambda_max < 0.
-    """
-    if p_s_max < 0:
-        raise ValueError("p_s_max must be >= 0")
-    if lambda_max > tol or n >= k:
-        return PowerSet("full", p_s_max)
-    if lambda_max < -tol:
-        return PowerSet("zero", p_s_max)
-    return PowerSet("interval", p_s_max)
 
 
 @dataclass(frozen=True)
@@ -220,9 +177,13 @@ def boundary_beamformer(
     e: Sequence[int],
     ch: ChannelSet,
     power: float,
-    tol: float = DEFAULT_SPAN_TOL,
 ) -> BoundaryPoint:
-    """One boundary point: w = sqrt(power) * v_max(sum_k mu_k e_k h_k h_k^*)."""
+    """One boundary point: w = sqrt(power) * v_max(sum_k mu_k e_k h_k h_k^*).
+
+    A one-row boundary_sweep.  Batching rows would change the result in the
+    last bits, because Jacobi keeps rotating rows that have already
+    converged while others have not.
+    """
     mu = np.asarray(mu, dtype=float)
     e_t = tuple(int(s) for s in e)
     if len(mu) != len(e_t) or len(e_t) not in (2, 3):
@@ -233,20 +194,15 @@ def boundary_beamformer(
         raise ValueError(f"weights must sum to 1, got sum {mu.sum()!r}")
     if power < 0:
         raise ValueError("power must be >= 0")
-    chans = _term_channels(ch, len(e_t))
-    coeff = mu * np.asarray(e_t, dtype=float)
-    Z = RankTermSum(coeff, chans)
-    degenerate = Z.is_zero()
-    lam, v = max_eigpair(Z, tol)
-    w = np.sqrt(power) * v
+    sweep = boundary_sweep(mu[None], e_t, ch)
+    w = sweep.beamformer(0, power)
     return BoundaryPoint(
         mu=tuple(float(x) for x in mu),
         e=e_t,
         power=float(power),
         w=w,
         gains=power_gains(w, ch),
-        lambda_max=lam,
-        degenerate=degenerate,
+        lambda_max=float(sweep.lam[0]),
     )
 
 

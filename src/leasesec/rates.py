@@ -17,7 +17,6 @@ from .model import ChannelSet, SystemParams
 
 __all__ = [
     "RegimeLabel",
-    "JdRateBundle",
     "secondary_rate",
     "r_s_max",
     "required_rate",
@@ -27,11 +26,6 @@ __all__ = [
     "no_leasing_secrecy",
     "peaceful_rate",
 ]
-
-# Test hook: the validation suite flips this to -1.0 to prove it notices a
-# sign error in the eavesdropper noise term.  Never change it in real use.
-_EVE_GAIN_SIGN = 1.0
-
 
 class RegimeLabel(str, Enum):
     """Which branch of the joint-decoding secrecy rate applies.
@@ -103,9 +97,7 @@ def required_rate(ch: ChannelSet, p: SystemParams) -> float:
 def sd_secrecy_from_gains(gain_sp, gain_se, ch: ChannelSet, p: SystemParams):
     """Secrecy rate against a noise-treating (single-user-decoding) eavesdropper."""
     main = np.log2(1.0 + np.abs(ch.h_pp) ** 2 * p.p_p / (p.sigma2_p + gain_sp))
-    tap = np.log2(
-        1.0 + np.abs(ch.h_pe) ** 2 * p.p_p / (p.sigma2_e + _EVE_GAIN_SIGN * gain_se)
-    )
+    tap = np.log2(1.0 + np.abs(ch.h_pe) ** 2 * p.p_p / (p.sigma2_e + gain_se))
     return np.maximum(main - tap, 0.0)
 
 

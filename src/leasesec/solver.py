@@ -17,7 +17,7 @@ parameterization; they share nothing with it but the rate formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .pgr import (
     DIRECTION_SUPPRESS_PRIMARY,
     DIRECTION_SUPPRESS_PRIMARY_AND_EVE,
     DIRECTION_TWO_TERM,
-    INTERVAL_GRID_POINTS,
     SweepResult,
     boundary_sweep,
     sample_simplex,
@@ -43,8 +42,6 @@ from .rates import (
 )
 
 __all__ = [
-    "OptResult",
-    "UnitSweeps",
     "unit_sweeps",
     "solve_sd",
     "solve_jd",
@@ -58,6 +55,9 @@ RATE_SLACK = 1e-9
 
 DEFAULT_RESOLUTION = 100
 DEFAULT_RESOLUTION_TWO_TERM = 400
+
+# Power grid of the pools whose transmit power is free, and of the JD oracle.
+INTERVAL_GRID_POINTS = 64
 
 # Local refinement: each round walks a +/- REFINE_SPAN-step box around the
 # incumbent (recentering while the winner keeps improving, so a ridge along
@@ -73,6 +73,10 @@ MAX_WALK_MOVES = 40
 # a single start can stall one bump short of the best.
 NUM_SEEDS = 4
 SEED_SEPARATION = 3.0  # in units of the coarse lattice spacing
+# solve_cell, the sweep path, walks from one seed for two rounds per pool
+# and relies on rescoring every visited lattice across its cells.
+CELL_WALK_SEEDS = 1
+CELL_WALK_ROUNDS = 2
 
 # Rows whose top eigenvalue is within this many lattice spacings of zero
 # (times the channel power scale) get the full power grid: the power
@@ -81,7 +85,14 @@ SEED_SEPARATION = 3.0  # in units of the coarse lattice spacing
 INTERVAL_BAND = 4.0
 
 _POOLS = ("S1", "S2", "S3")
-_POOL_RANK = {"S1": 0.0, "S2": 1.0, "S3": 2.0}
+
+
+class InfeasibleSolveError(RuntimeError):
+    """No candidate met the QoS constraint.
+
+    Full-power MRT always meets it, so this points at a broken rate formula
+    or candidate set, not at a hard channel.
+    """
 
 
 @dataclass(frozen=True)
@@ -104,12 +115,13 @@ class UnitSweeps:
 
     Eigenvectors depend only on the channels and weights, never on the
     transmit powers, so one UnitSweeps serves every (SNR, alpha, decoder)
-    cell that shares the channel realization.
+    cell that shares the channel realization.  s2 and s3 are None when only
+    the single-user family was swept (solve_sd without sweeps).
     """
 
     s1: SweepResult
-    s2: SweepResult
-    s3: SweepResult
+    s2: SweepResult | None
+    s3: SweepResult | None
     m: int
     m2: int
 
@@ -234,10 +246,11 @@ def _jd_scores(gains: np.ndarray, r_min: float, pool: str, ch, p):
 def _pool_powers(sweep: SweepResult, pool: str, ch, p, band: float):
     """(powers, rows) candidate expansion implementing the power rule.
 
-    S1 uses the budget alone.  S2 uses the budget where the top eigenvalue
-    is clearly positive (or always, with three or more antennas), zero where
-    clearly negative, and the whrole power grid within the band around
-    zero.  S3 always sweeps the power grid.
+    S1 uses the budget alone.  S2 applies the lambda-sign rule: the budget
+    where the top eigenvalue is clearly positive (or always, with three or
+    more antennas, as many as the receivers), zero where clearly negative,
+    and the whole power grid within the band around zero.  S3 always sweeps
+    the power grid.
     """
     L = len(sweep.lam)
     if pool == "S1":
@@ -263,23 +276,49 @@ def _pool_powers(sweep: SweepResult, pool: str, ch, p, band: float):
     return np.concatenate(powers_list), np.concatenate(rows_list)
 
 
+def _pool(pool: str, sweeps: UnitSweeps, ch: ChannelSet, p: SystemParams,
+          levels=None):
+    """(coarse sweep, spacing, expand, scores) of one candidate pool.
+
+    "SD" is the single-user pool: the S1 family at the power levels (the
+    budget alone by default).  S1, S2 and S3 are the joint-decoding pools,
+    each with its power rule and branch condition.  expand maps (sweep,
+    spacing) to flattened (powers, rows) candidates; scores maps an (n, 3)
+    gain array to (value, rss, keep, keep_relaxed).
+    """
+    r_min = required_rate(ch, p)
+    if pool == "SD":
+        levels = np.array([p.p_s_max] if levels is None else levels, dtype=float)
+
+        def expand(sweep, _spc):
+            L = len(sweep.lam)
+            return np.tile(levels, L), np.repeat(np.arange(L), levels.size)
+
+        return sweeps.s1, 1.0 / sweeps.m, expand, lambda g: _sd_scores(g, r_min, ch, p)
+    return (
+        sweeps.sweep(pool),
+        1.0 / (sweeps.m2 if pool == "S3" else sweeps.m),
+        lambda sweep, spc: _pool_powers(sweep, pool, ch, p, INTERVAL_BAND * spc),
+        lambda g: _jd_scores(g, r_min, pool, ch, p),
+    )
+
+
 def _run_pool(
     coarse: SweepResult,
+    spacing: float,
     expand,
     scores,
     ch: ChannelSet,
-    spacing: float,
     rounds: int = REFINE_ROUNDS,
     seeds: int = NUM_SEEDS,
     collector: list | None = None,
 ) -> _Best:
     """Coarse pass plus local refinement for one candidate pool.
 
-    expand maps (sweep, spacing) to flattened (powers, rows) candidates;
-    scores maps a (n, 3) gain array to (value, rss, keep, keep_relaxed).
     Refinement runs twice when the seeds differ: once centered on feasible
     winners and once on winners of the QoS-relaxed problem, harvesting only
-    feasible candidates from both.
+    feasible candidates from both.  collector, when given, receives every
+    evaluated (sweep, powers, rows) batch in order.
     """
 
     def evaluate(sweep, spc):
@@ -323,7 +362,7 @@ def _run_pool(
     return best
 
 
-def _seed_rows(mu, rows, value, rss, keep, spacing, count: int = NUM_SEEDS):
+def _seed_rows(mu, rows, value, rss, keep, spacing, count: int):
     """Up to count high-value weight rows under keep, pairwise well separated."""
     idx = np.flatnonzero(keep)
     if idx.size == 0:
@@ -340,13 +379,35 @@ def _seed_rows(mu, rows, value, rss, keep, spacing, count: int = NUM_SEEDS):
     return seeds
 
 
+def _result(best: _Best, ch: ChannelSet, p: SystemParams, candidate) -> OptResult:
+    """The OptResult of a search winner, scored with the single-user rate
+    when candidate is SINGLE_USER and with the joint-decoding rate otherwise."""
+    if not best.found:
+        raise InfeasibleSolveError(
+            "no candidate meets the QoS constraint, which full-power MRT always meets"
+        )
+    w = best.sweep.beamformer(best.row, best.power)
+    if candidate == "SINGLE_USER":
+        secrecy, regime = secrecy_rate_sd(w, ch, p), RegimeLabel.SINGLE_USER
+    else:
+        secrecy, regime = secrecy_rate_jd(w, ch, p)
+    return OptResult(
+        w=w,
+        secrecy_bits=secrecy,
+        secondary_bits=secondary_rate(w, ch, p),
+        regime=regime,
+        mu=tuple(float(x) for x in best.sweep.mu[best.row]),
+        power=best.power,
+        candidate=candidate,
+        feasible=True,
+    )
+
+
 def solve_sd(
     ch: ChannelSet,
     p: SystemParams,
-    m: int = DEFAULT_RESOLUTION,
     power_levels=None,
     sweeps: UnitSweeps | None = None,
-    refine: bool = True,
 ) -> OptResult:
     """Best beamformer against a single-user-decoding eavesdropper.
 
@@ -355,51 +416,21 @@ def solve_sd(
     power_levels exists only to let callers verify that transmit powers
     below the budget never help; the default searches the budget alone.
     """
-    if sweeps is not None:
-        coarse, spacing = sweeps.s1, 1.0 / sweeps.m
-    else:
+    if sweeps is None:
         _require_general_position(ch)
-        coarse = boundary_sweep(sample_simplex(3, m), DIRECTION_SUPPRESS_PRIMARY, ch)
-        spacing = 1.0 / m
-    levels = (
-        np.array([p.p_s_max]) if power_levels is None
-        else np.asarray(power_levels, dtype=float)
-    )
-    r_min = required_rate(ch, p)
-
-    def expand(sweep, _spc):
-        L = len(sweep.lam)
-        return np.tile(levels, L), np.repeat(np.arange(L), levels.size)
-
-    best = _run_pool(
-        coarse,
-        expand,
-        lambda g: _sd_scores(g, r_min, ch, p),
-        ch,
-        spacing,
-        rounds=REFINE_ROUNDS if refine else 0,
-    )
-    assert best.found, "full-power MRT always satisfies the QoS constraint"
-    w = best.sweep.beamformer(best.row, best.power)
-    return OptResult(
-        w=w,
-        secrecy_bits=secrecy_rate_sd(w, ch, p),
-        secondary_bits=secondary_rate(w, ch, p),
-        regime=RegimeLabel.SINGLE_USER,
-        mu=tuple(float(x) for x in best.sweep.mu[best.row]),
-        power=best.power,
-        candidate="SINGLE_USER",
-        feasible=True,
-    )
+        coarse = boundary_sweep(
+            sample_simplex(3, DEFAULT_RESOLUTION), DIRECTION_SUPPRESS_PRIMARY, ch
+        )
+        sweeps = UnitSweeps(coarse, None, None, DEFAULT_RESOLUTION,
+                            DEFAULT_RESOLUTION_TWO_TERM)
+    best = _run_pool(*_pool("SD", sweeps, ch, p, power_levels), ch)
+    return _result(best, ch, p, "SINGLE_USER")
 
 
 def solve_jd(
     ch: ChannelSet,
     p: SystemParams,
-    m: int = DEFAULT_RESOLUTION,
-    m2: int = DEFAULT_RESOLUTION_TWO_TERM,
     sweeps: UnitSweeps | None = None,
-    refine: bool = True,
 ) -> OptResult:
     """Best beamformer against a joint-decoding eavesdropper.
 
@@ -407,50 +438,17 @@ def solve_jd(
     the eavesdropper suppressed too, with its power rule; the two-weight
     family over the primary and secondary channels with a free power) is
     filtered by its branch condition and the QoS constraint, scored with
-    the piecewise secrecy rate, refined, and the best survivor wins.
+    the piecewise secrecy rate, refined, and the best survivor wins; ties
+    go to the earlier pool.
     """
     if sweeps is None:
-        sweeps = unit_sweeps(ch, m, m2)
-    r_min = required_rate(ch, p)
-
-    results: dict[str, _Best] = {}
+        sweeps = unit_sweeps(ch)
+    winner, winner_pool = _Best(), None
     for pool in _POOLS:
-        results[pool] = _run_pool(
-            sweeps.sweep(pool),
-            lambda sweep, spc, pool=pool: _pool_powers(
-                sweep, pool, ch, p, INTERVAL_BAND * spc
-            ),
-            lambda g, pool=pool: _jd_scores(g, r_min, pool, ch, p),
-            ch,
-            1.0 / (sweeps.m2 if pool == "S3" else sweeps.m),
-            rounds=REFINE_ROUNDS if refine else 0,
-        )
-    assert any(b.found for b in results.values()), "MRT belongs to every pool"
-    pool = max(
-        (pl for pl in _POOLS if results[pl].found),
-        key=lambda pl: (results[pl].value, results[pl].rss, -_POOL_RANK[pl]),
-    )
-    winner = results[pool]
-    w = winner.sweep.beamformer(winner.row, winner.power)
-    secrecy, regime = secrecy_rate_jd(w, ch, p)
-    return OptResult(
-        w=w,
-        secrecy_bits=secrecy,
-        secondary_bits=secondary_rate(w, ch, p),
-        regime=regime,
-        mu=tuple(float(x) for x in winner.sweep.mu[winner.row]),
-        power=winner.power,
-        candidate=pool,
-        feasible=True,
-    )
-
-
-# Angular zoom for the two-antenna oracles: recenter a finer (theta, phi)
-# window on the best grid point a few times.  Still a direct search on the
-# raw objective; it shares nothing with the boundary parameterization.
-ZOOM_ROUNDS = 2
-ZOOM_POINTS = 41
-ZOOM_SPAN = 2.0  # window half-width in units of the previous grid step
+        best = _run_pool(*_pool(pool, sweeps, ch, p), ch)
+        if (best.value, best.rss) > (winner.value, winner.rss):
+            winner, winner_pool = best, pool
+    return _result(winner, ch, p, winner_pool)
 
 
 def solve_cell(
@@ -459,8 +457,6 @@ def solve_cell(
     alphas,
     decoders=("SD", "JD"),
     sweeps: UnitSweeps | None = None,
-    walk_seeds: int = 1,
-    walk_rounds: int = 2,
 ) -> dict:
     """Solve every (decoder, alpha) cell of one channel draw coherently.
 
@@ -475,47 +471,25 @@ def solve_cell(
     if sweeps is None:
         sweeps = unit_sweeps(ch)
     alphas = tuple(alphas)
-    batches: dict = {}  # (id(sweep), pool) -> (sweep, powers, rows, pool)
-
-    def collect(pool):
-        class _Collector(list):
-            def append(self, triple):
-                # Collected sweeps stay referenced here, so ids are unique.
-                batches.setdefault((id(triple[0]), pool), triple + (pool,))
-
-        return _Collector()
-
-    def full_power_expand(sweep, _spc):
-        L = len(sweep.lam)
-        return np.full(L, base.p_s_max), np.arange(L)
-
+    pools = (("SD",) if "SD" in decoders else ()) + (_POOLS if "JD" in decoders else ())
+    visited = []  # (sweep, powers, rows, pool) in search order
     for alpha in alphas:
-        p = _with_alpha(base, alpha)
-        r_min = required_rate(ch, p)
-        if "SD" in decoders:
-            _run_pool(
-                sweeps.s1, full_power_expand,
-                lambda g, p=p, r=r_min: _sd_scores(g, r, ch, p),
-                ch, 1.0 / sweeps.m, rounds=walk_rounds, seeds=walk_seeds,
-                collector=collect("S1full"),
-            )
-        if "JD" in decoders:
-            for pool in _POOLS:
-                _run_pool(
-                    sweeps.sweep(pool),
-                    lambda sweep, spc, pool=pool, p=p: _pool_powers(
-                        sweep, pool, ch, p, INTERVAL_BAND * spc
-                    ),
-                    lambda g, pool=pool, p=p, r=r_min: _jd_scores(g, r, pool, ch, p),
-                    ch, 1.0 / (sweeps.m2 if pool == "S3" else sweeps.m),
-                    rounds=walk_rounds, seeds=walk_seeds,
-                    collector=collect(pool),
-                )
+        p = replace(base, alpha=alpha)
+        for pool in pools:
+            trail: list = []
+            _run_pool(*_pool(pool, sweeps, ch, p), ch,
+                      CELL_WALK_ROUNDS, CELL_WALK_SEEDS, trail)
+            visited += [batch + (pool,) for batch in trail]
+    # Each (sweep, pool) batch is rescored once, in first-seen order; every
+    # sweep stays referenced by visited, so the ids are unique.
+    batches: dict = {}
+    for batch in visited:
+        batches.setdefault((id(batch[0]), batch[3]), batch)
+    batch_list = list(batches.values())
 
     results = {}
-    batch_list = list(batches.values())
     for alpha in alphas:
-        p = _with_alpha(base, alpha)
+        p = replace(base, alpha=alpha)
         r_min = required_rate(ch, p)
         for dec in decoders:
             best = _Best()
@@ -534,33 +508,20 @@ def solve_cell(
                               rss >= r_min - RATE_SLACK, sweep)
                 if (best.value, best.rss) != before:
                     best_pool = pool
-            assert best.found, "full-power MRT always satisfies the QoS bound"
-            w = best.sweep.beamformer(best.row, best.power)
             if dec == "SD":
-                secrecy, regime = secrecy_rate_sd(w, ch, p), RegimeLabel.SINGLE_USER
                 candidate = "SINGLE_USER"
-            else:
-                secrecy, regime = secrecy_rate_jd(w, ch, p)
-                candidate = "S1" if best_pool == "S1full" else best_pool
-            results[(dec, alpha)] = OptResult(
-                w=w,
-                secrecy_bits=secrecy,
-                secondary_bits=secondary_rate(w, ch, p),
-                regime=regime,
-                mu=tuple(float(x) for x in best.sweep.mu[best.row]),
-                power=best.power,
-                candidate=candidate,
-                feasible=True,
-            )
+            else:  # the SD pool is the S1 family at full power
+                candidate = "S1" if best_pool == "SD" else best_pool
+            results[(dec, alpha)] = _result(best, ch, p, candidate)
     return results
 
 
-def _with_alpha(base: SystemParams, alpha: float) -> SystemParams:
-    return SystemParams(
-        p_p=base.p_p, p_s_max=base.p_s_max, sigma2_p=base.sigma2_p,
-        sigma2_s=base.sigma2_s, sigma2_e=base.sigma2_e, alpha=alpha,
-        n_t=base.n_t,
-    )
+# Angular zoom for the two-antenna oracles: recenter a finer (theta, phi)
+# window on the best grid point a few times.  Still a direct search on the
+# raw objective; it shares nothing with the boundary parameterization.
+ZOOM_ROUNDS = 2
+ZOOM_POINTS = 41
+ZOOM_SPAN = 2.0  # window half-width in units of the previous grid step
 
 
 def _angular_gain_window(ch: ChannelSet, theta: np.ndarray, phi: np.ndarray):

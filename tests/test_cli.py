@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 import subprocess
@@ -207,3 +208,30 @@ class TestValidateSuite:
         text = report.text()
         assert report.ok, text
         assert "checks passed" in text
+
+
+# sha256 of CLI outputs, recorded with numpy 2.4 on x86-64.  Solver
+# refactors must keep every byte; a different numpy or BLAS build may round
+# differently and need the hashes recorded again.
+GOLDEN_SHA256 = {
+    ("sweep-snr", "--nt", "2", "3", "--trials", "2", "--seed", "7",
+     "--snr-db", "0", "20", "--alpha", "0", "0.5"):
+        "df487c436c8c92f658b09ab555d022518e860649fb27bf4e3b436867bd2fbb45",
+    ("pgr-boundary", "--seed", "4", "--resolution", "8", "--direction", "e1"):
+        "061f0a14b08aed48e40d7dc9d43129f117e7281f86b6714a6542501456f16e25",
+    ("pgr-boundary", "--seed", "4", "--resolution", "8", "--direction", "e2"):
+        "311c0794bc1f2bf3be76a4356c7d8cbe40dfb9e92344cff1ea76ca9a70ac0493",
+    ("single", "--seed", "11001", "--trial", "0", "--nt", "2"):
+        "2f2349e1db8838efa4e423a3641284a4cb3f474bb2b8b8e7bd664381a429da4f",
+    ("single", "--seed", "11001", "--trial", "0", "--nt", "3"):
+        "0fc2bd79d17a84b583741b097ff29ba69f8736de292314ff1ec9ca8e95133c1c",
+}
+
+
+class TestGoldenBytes:
+    def test_outputs_match_recorded_hashes(self, capsys):
+        got = {}
+        for argv in GOLDEN_SHA256:
+            assert main(list(argv)) == 0
+            got[argv] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert got == GOLDEN_SHA256

@@ -2,19 +2,31 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from leasesec.numerics import (
-    RankTermSum,
-    inner,
-    jacobi_eigh,
-    max_eigpair,
-    orthonormal_span_basis,
-)
+from leasesec.model import ChannelSet
+from leasesec.numerics import inner, jacobi_eigh, orthonormal_span_basis
+from leasesec.pgr import boundary_sweep
 
 
-def random_rank_sum(rng, n, k=3, coeff_lo=-1.0, coeff_hi=1.0):
+def random_rank_sum(rng, n, k=3):
     vecs = (rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))) / np.sqrt(2)
-    coeff = rng.uniform(coeff_lo, coeff_hi, size=k)
-    return RankTermSum(coeff, vecs)
+    return rng.uniform(-1.0, 1.0, size=k), vecs
+
+
+def dense(weights, vecs):
+    """sum_k weights[k] vecs[k] vecs[k]^* as a full matrix."""
+    return sum(c * np.outer(h, np.conj(h)) for c, h in zip(weights, vecs))
+
+
+def top_eigpair(weights, vecs):
+    """(lambda_max, unit eigenvector) of dense(weights, vecs) for two or
+    three terms, from a one-row boundary_sweep with mu = |weights|."""
+    weights = np.asarray(weights, dtype=float)
+    vecs = np.asarray(vecs, dtype=complex)
+    if len(vecs) == 2:  # the two-term family reads (h_sp, h_ss)
+        vecs = [vecs[0], np.zeros_like(vecs[0]), vecs[1]]
+    ch = ChannelSet(0j, 0j, 0j, *vecs)
+    sweep = boundary_sweep(np.abs(weights)[None], np.where(weights < 0, -1, 1), ch)
+    return float(sweep.lam[0]), sweep.beamformer(0, 1.0)
 
 
 class TestInner:
@@ -88,15 +100,20 @@ class TestJacobi:
 
 
 class TestMaxEigpair:
+    """Top eigenpair of a signed rank-one sum through a one-row
+    boundary_sweep, the package's only eigen path."""
+
     def test_rank_one_positive(self):
         h = np.array([3.0, 4.0], complex)
-        lam, v = max_eigpair(RankTermSum(np.array([1.0]), h[None, :]))
+        lam, v = top_eigpair([0.0, 1.0], [np.array([1.0, 0.0], complex), h])
         assert lam == pytest.approx(25.0, abs=1e-12)
         npt.assert_allclose(v, [0.6, 0.8], atol=1e-12)
 
     def test_rank_one_negative_complement(self):
+        # Both terms span one line, so the complement's eigenvalue 0 beats
+        # the in-span -|h|^2.
         h = np.array([3.0, 4.0], complex)
-        lam, v = max_eigpair(RankTermSum(np.array([-1.0]), h[None, :]))
+        lam, v = top_eigpair([-1.0, 0.0], [h, 2.0 * h])
         assert lam == 0.0
         assert abs(inner(v, h)) <= 1e-10 * np.linalg.norm(h)
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
@@ -108,17 +125,13 @@ class TestMaxEigpair:
         worst_val = worst_res = 0.0
         for _ in range(1000):
             n = int(rng.integers(2, 9))
-            Z = random_rank_sum(rng, n)
-            lam, v = max_eigpair(Z)
-            dense = Z.dense()
-            lam_ref = np.linalg.eigvalsh(dense)[-1]
-            scale = float(
-                np.sum(np.abs(Z.coefficients) * np.sum(np.abs(Z.vectors) ** 2, axis=1))
-            )
+            weights, vecs = random_rank_sum(rng, n)
+            lam, v = top_eigpair(weights, vecs)
+            z = dense(weights, vecs)
+            lam_ref = np.linalg.eigvalsh(z)[-1]
+            scale = float(np.sum(np.abs(weights) * np.sum(np.abs(vecs) ** 2, axis=1)))
             worst_val = max(worst_val, abs(lam - lam_ref))
-            worst_res = max(
-                worst_res, np.linalg.norm(dense @ v - lam * v) / max(scale, 1e-30)
-            )
+            worst_res = max(worst_res, np.linalg.norm(z @ v - lam * v) / max(scale, 1e-30))
             assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-10)
         assert worst_val <= 1e-10
         assert worst_res <= 1e-9
@@ -127,20 +140,18 @@ class TestMaxEigpair:
         rng = np.random.default_rng(7)
         for _ in range(200):
             n = int(rng.integers(2, 6))
-            Z = random_rank_sum(rng, n)
-            lam, v = max_eigpair(Z)
-            phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=3))
-            Z2 = RankTermSum(Z.coefficients, Z.vectors * phases[:, None])
-            lam2, v2 = max_eigpair(Z2)
+            weights, vecs = random_rank_sum(rng, n)
+            lam, v = top_eigpair(weights, vecs)
+            vecs2 = vecs * np.exp(1j * rng.uniform(0, 2 * np.pi, size=3))[:, None]
+            lam2, v2 = top_eigpair(weights, vecs2)
             assert abs(lam - lam2) <= 1e-12 * max(1.0, abs(lam))
-            for h, h2 in zip(Z.vectors, Z2.vectors):
+            for h, h2 in zip(vecs, vecs2):
                 assert abs(abs(inner(v, h)) - abs(inner(v2, h2))) < 1e-10
 
     def test_phase_convention(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
-            Z = random_rank_sum(rng, 4)
-            _, v = max_eigpair(Z)
+            _, v = top_eigpair(*random_rank_sum(rng, 4))
             pivot = v[int(np.argmax(np.abs(v)))]
             assert abs(pivot.imag) <= 1e-12
             assert pivot.real >= 0
@@ -149,24 +160,19 @@ class TestMaxEigpair:
         # Coefficients cancel, so the in-span eigenvalue is exactly 0 and
         # ties with the complement; the in-span eigenvector must win.
         h = np.array([1.0, 2.0, 0.0], complex)
-        Z = RankTermSum(np.array([1.0, -1.0]), np.stack([h, h]))
-        lam, v = max_eigpair(Z)
+        lam, v = top_eigpair([1.0, -1.0], [h, h])
         assert abs(lam) <= 1e-12
         assert abs(abs(inner(v, h / np.linalg.norm(h))) - 1.0) <= 1e-12
 
     def test_degenerate_all_zero(self):
-        Z = RankTermSum(np.array([1.0]), np.zeros((1, 3), complex))
-        lam, v = max_eigpair(Z)
-        assert lam == 0.0
-        assert np.linalg.norm(v) == pytest.approx(1.0)
-        assert Z.is_zero()
+        with pytest.raises(ValueError):
+            top_eigpair([1.0, 0.0], np.zeros((2, 3), complex))
 
     def test_zero_coefficient_vectors_join_span(self):
         # A zero-weight term still pins the basis, so the eigenvector for a
         # pure negative term is the in-span direction orthogonal to it.
         h1 = np.array([1.0, 1.0], complex) / np.sqrt(2)
         h2 = np.array([1.0, -0.5], complex)
-        Z = RankTermSum(np.array([-1.0, 0.0]), np.stack([h1, h2]))
-        lam, v = max_eigpair(Z)
+        lam, v = top_eigpair([-1.0, 0.0], [h1, h2])
         assert abs(lam) <= 1e-12
         assert abs(inner(v, h1)) <= 1e-12

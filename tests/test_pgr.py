@@ -1,4 +1,5 @@
 import io
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -10,13 +11,13 @@ from leasesec.pgr import (
     DIRECTION_SUPPRESS_PRIMARY,
     DIRECTION_SUPPRESS_PRIMARY_AND_EVE,
     DIRECTION_TWO_TERM,
-    admissible_powers,
     boundary_beamformer,
     boundary_sweep,
     export_boundary,
     power_gains,
     sample_simplex,
 )
+from leasesec.solver import _pool_powers
 
 
 def draw(nt=2, seed=17, trial=0, p_s_max=10.0):
@@ -65,25 +66,27 @@ class TestSampleSimplex:
             sample_simplex(4, 5)
 
 
+def s2_powers(lam, nt=2):
+    """Candidate powers of the S2 pool's lambda-sign rule for one row."""
+    ch, p = draw(nt=nt)
+    powers, rows = _pool_powers(SimpleNamespace(lam=np.array([lam])), "S2", ch, p, 0.0)
+    assert np.all(rows == 0)
+    return powers
+
+
 class TestAdmissiblePowers:
     def test_positive_eigenvalue(self):
-        ps = admissible_powers(0.5, 2, 3, 10.0)
-        assert ps.kind == "full"
-        npt.assert_allclose(ps.levels(), [10.0])
+        npt.assert_allclose(s2_powers(0.5), [10.0])
 
     def test_zero_eigenvalue_interval(self):
-        ps = admissible_powers(0.0, 2, 3, 10.0)
-        assert ps.kind == "interval"
-        levels = ps.levels()
+        levels = s2_powers(0.0)
         assert levels[0] == 0.0 and levels[-1] == 10.0 and len(levels) == 64
 
     def test_negative_eigenvalue(self):
-        ps = admissible_powers(-0.1, 2, 3, 10.0)
-        assert ps.kind == "zero"
-        npt.assert_allclose(ps.levels(), [0.0])
+        npt.assert_allclose(s2_powers(-0.1), [0.0])
 
     def test_enough_antennas_forces_full(self):
-        assert admissible_powers(-0.1, 3, 3, 10.0).kind == "full"
+        npt.assert_allclose(s2_powers(-0.1, nt=3), [10.0])
 
 
 class TestBoundaryBeamformer:
@@ -134,19 +137,22 @@ class TestBoundaryBeamformer:
 
 class TestBoundarySweep:
     def test_matches_single_point_calls(self):
+        # Every row of a batched sweep against a dense eigensolve of
+        # sum_k mu_k e_k h_k h_k^*.
         ch, p = draw(nt=3, trial=5)
         mu = sample_simplex(3, 12)
-        sweep = boundary_sweep(mu, DIRECTION_SUPPRESS_PRIMARY_AND_EVE, ch)
+        e = DIRECTION_SUPPRESS_PRIMARY_AND_EVE
+        sweep = boundary_sweep(mu, e, ch)
+        H = ch.secondary_vectors()
         for i in range(len(mu)):
-            pt = boundary_beamformer(
-                mu[i], DIRECTION_SUPPRESS_PRIMARY_AND_EVE, ch, p.p_s_max
-            )
-            npt.assert_allclose(sweep.lam[i], pt.lambda_max, atol=1e-10)
-            npt.assert_allclose(
-                p.p_s_max * sweep.unit_gains[i], pt.gains, atol=1e-9
-            )
+            Z = sum(m * s * np.outer(h, np.conj(h)) for m, s, h in zip(mu[i], e, H))
+            npt.assert_allclose(sweep.lam[i], np.linalg.eigvalsh(Z)[-1], atol=1e-10)
             w = sweep.beamformer(i, p.p_s_max)
-            npt.assert_allclose(power_gains(w, ch), pt.gains, atol=1e-9)
+            npt.assert_allclose(Z @ w, sweep.lam[i] * w, atol=1e-9)
+            npt.assert_allclose(np.linalg.norm(w) ** 2, p.p_s_max, rtol=1e-12)
+            npt.assert_allclose(
+                p.p_s_max * sweep.unit_gains[i], power_gains(w, ch), atol=1e-9
+            )
 
     def test_lambda_nonnegative_with_enough_antennas(self):
         # Suppressing one receiver with three antennas never needs a
@@ -155,9 +161,9 @@ class TestBoundarySweep:
         ch, p = draw(nt=3, trial=9)
         sweep = boundary_sweep(sample_simplex(3, 20), DIRECTION_SUPPRESS_PRIMARY, ch)
         assert np.all(sweep.lam >= -1e-12)
-        for i, mu in enumerate(sweep.mu):
-            kind = admissible_powers(sweep.lam[i], 3, 3, p.p_s_max).kind
-            assert kind == "full"
+        powers, rows = _pool_powers(sweep, "S2", ch, p, 0.0)
+        assert np.all(powers == p.p_s_max)
+        assert np.array_equal(rows, np.arange(len(sweep.mu)))
 
     def test_boundary_dominance_random_oracle(self):
         # no random feasible beamformer may dominate a boundary point in

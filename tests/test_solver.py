@@ -16,7 +16,9 @@ from leasesec.rates import (
     secrecy_rate_jd,
     secrecy_rate_sd,
 )
+import leasesec.solver as solver_mod
 from leasesec.solver import (
+    InfeasibleSolveError,
     brute_force_jd,
     brute_force_sd,
     solve_cell,
@@ -88,9 +90,23 @@ class TestSolveSd:
             solve_sd(ch, SystemParams(p_p=1.0, p_s_max=1.0, n_t=2))
 
     def test_resolution_validated(self):
-        ch, p = draw()
+        ch, _ = draw()
         with pytest.raises(ValueError):
-            solve_sd(ch, p, m=0)
+            unit_sweeps(ch, m=0)
+
+    def test_unmet_qos_is_an_explicit_error(self, monkeypatch):
+        # Full-power MRT always meets the QoS bound, so no feasible
+        # candidate means a broken search; it must raise even under -O.
+        monkeypatch.setattr(solver_mod, "required_rate", lambda ch, p: np.inf)
+        ch, p = draw()
+        sweeps = unit_sweeps(ch, m=12, m2=48)
+        for solve in (
+            lambda: solve_sd(ch, p, sweeps=sweeps),
+            lambda: solve_jd(ch, p, sweeps=sweeps),
+            lambda: solve_cell(ch, p, (0.5,), sweeps=sweeps),
+        ):
+            with pytest.raises(InfeasibleSolveError):
+                solve()
 
 
 class TestSolveJd:
