@@ -21,7 +21,7 @@ from .pgr import (
     sample_simplex,
 )
 from .rates import jd_rate_bundle, peaceful_rate, no_leasing_secrecy
-from .solver import brute_force_jd, brute_force_sd, solve_jd, solve_sd
+from .solver import brute_force_jd, brute_force_sd, solve_jd, solve_sd, unit_sweeps
 from . import validate as validate_mod
 
 __all__ = ["main", "parse_config", "emit_csv", "read_csv_rows"]
@@ -235,7 +235,9 @@ def cmd_single(args) -> int:
         out.write(f"  {name} = [{vec}]\n")
     out.write(f"peaceful_bits = {_fmt(peaceful_rate(ch, p))}\n")
     out.write(f"no_leasing_bits = {_fmt(no_leasing_secrecy(ch, p))}\n")
-    for name, res in (("SD", solve_sd(ch, p)), ("JD", solve_jd(ch, p))):
+    sweeps = unit_sweeps(ch)
+    for name, res in (("SD", solve_sd(ch, p, sweeps=sweeps)),
+                      ("JD", solve_jd(ch, p, sweeps=sweeps))):
         out.write(f"{name} solution:\n")
         out.write(f"  w = [{', '.join(repr(complex(x)) for x in res.w)}]\n")
         out.write(f"  secrecy_bits = {_fmt(res.secrecy_bits)}\n")

@@ -84,7 +84,10 @@ def sample_simplex(dim: int, m: int) -> np.ndarray:
     else:
         rows = [(i, j, m - i - j) for i in range(m + 1) for j in range(m - i + 1)]
         pts = np.array(rows)
-    assert len(pts) == comb(m + dim - 1, dim - 1)
+    if len(pts) != comb(m + dim - 1, dim - 1):
+        raise RuntimeError(
+            f"simplex lattice has {len(pts)} points, expected C({m + dim - 1}, {dim - 1})"
+        )
     return pts / float(m)
 
 

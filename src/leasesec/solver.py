@@ -178,6 +178,14 @@ def _lambda_scale(ch: ChannelSet) -> float:
     return max(1.0, max(float(np.linalg.norm(h) ** 2) for h in ch.secondary_vectors()))
 
 
+def _top(value: np.ndarray, rss: np.ndarray, idx: np.ndarray) -> int:
+    """The index in (ascending) idx with the highest value, then the highest
+    rss among rows tied on value, then the first position; O(len(idx))."""
+    v = value[idx]
+    tied = idx[v == v.max()]
+    return int(tied[np.argmax(rss[tied])])
+
+
 @dataclass
 class _Best:
     """Running winner of a candidate enumeration (deterministic order)."""
@@ -188,19 +196,23 @@ class _Best:
     row: int = -1
     power: float = 0.0
 
-    def consider(self, value, rss, powers, rows, keep, sweep) -> None:
-        """Fold a candidate batch in; ties keep the incumbent."""
+    def consider(self, value, rss, powers, rows, keep, sweep) -> bool:
+        """Fold in the batch's _top pick under keep; True if it took over.
+
+        Only a strictly better (value, rss) replaces the incumbent, so ties
+        keep it."""
         idx = np.flatnonzero(keep)
         if idx.size == 0:
-            return
-        order = np.lexsort((idx, -rss[idx], -value[idx]))
-        i = idx[order[0]]
-        if (value[i], rss[i]) > (self.value, self.rss):
-            self.value = float(value[i])
-            self.rss = float(rss[i])
-            self.sweep = sweep
-            self.row = int(rows[i])
-            self.power = float(powers[i])
+            return False
+        i = _top(value, rss, idx)
+        if not (value[i], rss[i]) > (self.value, self.rss):
+            return False
+        self.value = float(value[i])
+        self.rss = float(rss[i])
+        self.sweep = sweep
+        self.row = int(rows[i])
+        self.power = float(powers[i])
+        return True
 
     @property
     def found(self) -> bool:
@@ -312,14 +324,26 @@ def _run_pool(
     rounds: int = REFINE_ROUNDS,
     seeds: int = NUM_SEEDS,
     collector: list | None = None,
+    memo: dict | None = None,
 ) -> _Best:
     """Coarse pass plus local refinement for one candidate pool.
 
     Refinement runs twice when the seeds differ: once centered on feasible
     winners and once on winners of the QoS-relaxed problem, harvesting only
     feasible candidates from both.  collector, when given, receives every
-    evaluated (sweep, powers, rows) batch in order.
+    evaluated (sweep, powers, rows) batch in order.  memo, when given, maps
+    (lattice bytes, direction) to the walk sweep already built for it, so a
+    lattice that another walk visited is not solved again.
     """
+
+    def local_sweep(center_mu: np.ndarray, spc: float) -> SweepResult:
+        lattice = _local_simplex(center_mu, spc)
+        if memo is None:
+            return boundary_sweep(lattice, coarse.e, ch)
+        key = (lattice.tobytes(), coarse.e)
+        if key not in memo:
+            memo[key] = boundary_sweep(lattice, coarse.e, ch)
+        return memo[key]
 
     def evaluate(sweep, spc):
         powers, rows = expand(sweep, spc)
@@ -343,12 +367,11 @@ def _run_pool(
         for _ in range(rounds):
             fine = spc / REFINE_FACTOR
             for _ in range(MAX_WALK_MOVES):
-                sweep = boundary_sweep(_local_simplex(center_mu, spc), coarse.e, ch)
+                sweep = local_sweep(center_mu, spc)
                 v, r, pw, rw, k, k_rel = evaluate(sweep, fine)
-                incumbent = (center.value, center.rss)
-                center.consider(v, r, pw, rw, k_rel if use_relaxed else k, sweep)
+                moved = center.consider(v, r, pw, rw, k_rel if use_relaxed else k, sweep)
                 best.consider(v, r, pw, rw, k, sweep)
-                if (center.value, center.rss) == incumbent:
+                if not moved:
                     break
                 center_mu = np.asarray(center.sweep.mu[center.row])
             spc = fine
@@ -363,19 +386,18 @@ def _run_pool(
 
 
 def _seed_rows(mu, rows, value, rss, keep, spacing, count: int):
-    """Up to count high-value weight rows under keep, pairwise well separated."""
-    idx = np.flatnonzero(keep)
-    if idx.size == 0:
-        return []
-    order = idx[np.lexsort((idx, -rss[idx], -value[idx]))]
+    """Up to count high-value weight rows under keep, pairwise well separated.
+
+    Greedy in the _top order: each seed is the best row that lies at least
+    SEED_SEPARATION coarse spacings (max-norm) from every earlier seed.
+    """
+    allowed = np.array(keep, dtype=bool)
     seeds: list[np.ndarray] = []
-    min_sep = SEED_SEPARATION * spacing
-    for i in order:
-        row = np.asarray(mu[rows[i]])
-        if all(np.max(np.abs(row - s)) >= min_sep for s in seeds):
-            seeds.append(row)
-            if len(seeds) >= count:
-                break
+    while allowed.any():
+        seeds.append(np.asarray(mu[rows[_top(value, rss, np.flatnonzero(allowed))]]))
+        if len(seeds) >= count:
+            break
+        allowed &= np.max(np.abs(mu[rows] - seeds[-1]), axis=1) >= SEED_SEPARATION * spacing
     return seeds
 
 
@@ -467,52 +489,58 @@ def solve_cell(
     raising alpha can never raise either, because each answer is an argmax
     over the same candidates under nested feasibility filters and pointwise
     ordered objectives.  Returns {(decoder, alpha): OptResult}.
+
+    Each piece of work is done once per call.  The walks share one memo of
+    refined lattices, so a lattice that several alphas or pools visit is
+    eigensolved once.  Secrecy values and the secondary rate do not depend
+    on alpha, which enters only through the QoS mask, so each distinct
+    batch is scored once and folded into every cell's running winner.
     """
     if sweeps is None:
         sweeps = unit_sweeps(ch)
     alphas = tuple(alphas)
     pools = (("SD",) if "SD" in decoders else ()) + (_POOLS if "JD" in decoders else ())
-    visited = []  # (sweep, powers, rows, pool) in search order
+    # (sweep id, pool) -> (sweep, powers, rows, pool), in first-seen order.
+    # Every sweep stays referenced (coarse ones by sweeps, walk ones by
+    # memo), so the ids are unique; a repeated batch is identical to its
+    # first copy and could never win the first-position tie-break.
+    batches: dict = {}
+    memo: dict = {}
     for alpha in alphas:
         p = replace(base, alpha=alpha)
         for pool in pools:
             trail: list = []
             _run_pool(*_pool(pool, sweeps, ch, p), ch,
-                      CELL_WALK_ROUNDS, CELL_WALK_SEEDS, trail)
-            visited += [batch + (pool,) for batch in trail]
-    # Each (sweep, pool) batch is rescored once, in first-seen order; every
-    # sweep stays referenced by visited, so the ids are unique.
-    batches: dict = {}
-    for batch in visited:
-        batches.setdefault((id(batch[0]), batch[3]), batch)
-    batch_list = list(batches.values())
+                      CELL_WALK_ROUNDS, CELL_WALK_SEEDS, trail, memo)
+            for sweep, powers, rows in trail:
+                batches.setdefault((id(sweep), pool), (sweep, powers, rows, pool))
+
+    r_mins = {alpha: required_rate(ch, replace(base, alpha=alpha)) for alpha in alphas}
+    bests = {(dec, alpha): _Best() for alpha in alphas for dec in decoders}
+    best_pools = dict.fromkeys(bests)
+    for sweep, powers, rows, pool in batches.values():
+        gains = sweep.unit_gains[rows] * powers[:, None]
+        rss = secondary_rate_from_gain(gains[:, 2], ch, base)
+        values = {}
+        if "SD" in decoders:
+            values["SD"] = sd_secrecy_from_gains(gains[:, 0], gains[:, 1], ch, base)
+        if "JD" in decoders:
+            values["JD"], _ = jd_secrecy_from_gains(
+                gains[:, 0], gains[:, 1], gains[:, 2], ch, base
+            )
+        keeps = {alpha: rss >= r_min - RATE_SLACK for alpha, r_min in r_mins.items()}
+        for (dec, alpha), best in bests.items():
+            if best.consider(values[dec], rss, powers, rows, keeps[alpha], sweep):
+                best_pools[(dec, alpha)] = pool
 
     results = {}
-    for alpha in alphas:
-        p = replace(base, alpha=alpha)
-        r_min = required_rate(ch, p)
-        for dec in decoders:
-            best = _Best()
-            best_pool = None
-            for sweep, powers, rows, pool in batch_list:
-                gains = sweep.unit_gains[rows] * powers[:, None]
-                rss = secondary_rate_from_gain(gains[:, 2], ch, p)
-                if dec == "SD":
-                    value = sd_secrecy_from_gains(gains[:, 0], gains[:, 1], ch, p)
-                else:
-                    value, _ = jd_secrecy_from_gains(
-                        gains[:, 0], gains[:, 1], gains[:, 2], ch, p
-                    )
-                before = (best.value, best.rss)
-                best.consider(value, rss, powers, rows,
-                              rss >= r_min - RATE_SLACK, sweep)
-                if (best.value, best.rss) != before:
-                    best_pool = pool
-            if dec == "SD":
-                candidate = "SINGLE_USER"
-            else:  # the SD pool is the S1 family at full power
-                candidate = "S1" if best_pool == "SD" else best_pool
-            results[(dec, alpha)] = _result(best, ch, p, candidate)
+    for (dec, alpha), best in bests.items():
+        if dec == "SD":
+            candidate = "SINGLE_USER"
+        else:  # the SD pool is the S1 family at full power
+            pool = best_pools[(dec, alpha)]
+            candidate = "S1" if pool == "SD" else pool
+        results[(dec, alpha)] = _result(best, ch, replace(base, alpha=alpha), candidate)
     return results
 
 

@@ -255,11 +255,10 @@ def _check_feasibility(report: ValidationReport, seed: int, count: int = 20) -> 
     for t in range(count):
         p = SystemParams.from_snr_db(15.0, 0.7, 3)
         ch = sample_channels(p, TrialSeed(seed + 1, t))
-        res = solve_jd(ch, p)
+        sweeps = unit_sweeps(ch)
         r_min = required_rate(ch, p)
-        worst = min(worst, res.secondary_bits - r_min)
-        res2 = solve_sd(ch, p)
-        worst = min(worst, res2.secondary_bits - r_min)
+        for res in (solve_jd(ch, p, sweeps=sweeps), solve_sd(ch, p, sweeps=sweeps)):
+            worst = min(worst, res.secondary_bits - r_min)
     report.add(
         "qos_feasibility",
         worst >= -1e-9,

@@ -225,6 +225,18 @@ GOLDEN_SHA256 = {
         "2f2349e1db8838efa4e423a3641284a4cb3f474bb2b8b8e7bd664381a429da4f",
     ("single", "--seed", "11001", "--trial", "0", "--nt", "3"):
         "0fc2bd79d17a84b583741b097ff29ba69f8736de292314ff1ec9ca8e95133c1c",
+    # Single-decoder sweeps: a sweep's answers still depend on which
+    # decoders it runs, so these two pin that behaviour until it changes.
+    ("sweep-snr", "--decoder", "SD", "--nt", "2", "3", "--trials", "2", "--seed", "7",
+     "--snr-db", "0", "20", "--alpha", "0", "0.5"):
+        "112b57465e8020605a3f2cd775adcc8bb86d160f0aa6386eeb76b5413dd13c73",
+    ("sweep-snr", "--decoder", "JD", "--nt", "2", "3", "--trials", "2", "--seed", "7",
+     "--snr-db", "0", "20", "--alpha", "0", "0.5"):
+        "d725b35146d502608027ae80806f47cf6584efcee9a1cf8d137d9371bcdf7543",
+    # A sweep over two worker processes.
+    ("sweep-nt", "--nt", "2", "4", "--trials", "2", "--seed", "5",
+     "--alpha", "0", "0.8", "--workers", "2"):
+        "44df85f7fad67b69ac1d668ac807ada50d84c07a50e481bf642d1ac08a779054",
 }
 
 

@@ -1,4 +1,6 @@
 import io
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -64,6 +66,21 @@ class TestSampleSimplex:
             sample_simplex(3, 0)
         with pytest.raises(ValueError):
             sample_simplex(4, 5)
+
+    def test_count_check_survives_optimize_flag(self):
+        # The lattice size check must be an explicit error, which -O keeps.
+        code = (
+            "import leasesec.pgr as pgr\n"
+            "pgr.comb = lambda n, k: -1\n"
+            "try:\n"
+            "    pgr.sample_simplex(3, 4)\n"
+            "except RuntimeError as exc:\n"
+            "    print('raised', exc)\n"
+        )
+        out = subprocess.run([sys.executable, "-O", "-c", code],
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith("raised simplex lattice has 15 points")
 
 
 def s2_powers(lam, nt=2):

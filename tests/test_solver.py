@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -11,8 +13,11 @@ from leasesec.model import (
     sample_channels,
 )
 from leasesec.rates import (
+    jd_secrecy_from_gains,
     peaceful_rate,
     required_rate,
+    sd_secrecy_from_gains,
+    secondary_rate_from_gain,
     secrecy_rate_jd,
     secrecy_rate_sd,
 )
@@ -189,6 +194,161 @@ class TestSolveCell:
         assert cell[("JD", 0.5)].secrecy_bits == pytest.approx(
             direct_jd.secrecy_bits, abs=5e-3
         )
+
+
+def per_cell_reference(ch, base, alphas, decoders, sweeps):
+    """Reference solve_cell without its shortcuts: every walk eigensolves
+    its own lattices (no memo), and each (alpha, decoder) cell rescores every
+    distinct (sweep, pool) batch and takes each batch's pick by a full
+    lexsort.  Returns {(decoder, alpha): (w, mu, power, candidate)}."""
+    pools = (("SD",) if "SD" in decoders else ()) + (
+        ("S1", "S2", "S3") if "JD" in decoders else ())
+    batches = {}
+    for alpha in alphas:
+        p = replace(base, alpha=alpha)
+        for pool in pools:
+            trail = []
+            solver_mod._run_pool(*solver_mod._pool(pool, sweeps, ch, p), ch,
+                                 solver_mod.CELL_WALK_ROUNDS,
+                                 solver_mod.CELL_WALK_SEEDS, trail)
+            for sweep, powers, rows in trail:
+                batches.setdefault((id(sweep), pool), (sweep, powers, rows, pool))
+    out = {}
+    for alpha in alphas:
+        p = replace(base, alpha=alpha)
+        r_min = required_rate(ch, p)
+        for dec in decoders:
+            best = (-np.inf, -np.inf, None, -1, 0.0, None)
+            for sweep, powers, rows, pool in batches.values():
+                gains = sweep.unit_gains[rows] * powers[:, None]
+                rss = secondary_rate_from_gain(gains[:, 2], ch, p)
+                if dec == "SD":
+                    value = sd_secrecy_from_gains(gains[:, 0], gains[:, 1], ch, p)
+                else:
+                    value, _ = jd_secrecy_from_gains(
+                        gains[:, 0], gains[:, 1], gains[:, 2], ch, p)
+                idx = np.flatnonzero(rss >= r_min - solver_mod.RATE_SLACK)
+                if idx.size == 0:
+                    continue
+                i = idx[np.lexsort((idx, -rss[idx], -value[idx]))[0]]
+                if (value[i], rss[i]) > best[:2]:
+                    best = (value[i], rss[i], sweep, rows[i], powers[i], pool)
+            _, _, sweep, row, power, pool = best
+            if dec == "SD":
+                candidate = "SINGLE_USER"
+            else:
+                candidate = "S1" if pool == "SD" else pool
+            mu = tuple(float(x) for x in sweep.mu[row])
+            out[(dec, alpha)] = (sweep.beamformer(row, power), mu, float(power),
+                                 candidate)
+    return out
+
+
+class TestSolveCellParity:
+    ALPHAS = (0.0, 0.5, 0.8, 1.0)
+
+    @pytest.mark.parametrize("nt", [2, 3, 5])
+    def test_matches_per_cell_lexsort_reference(self, nt):
+        ch, _ = draw(nt=nt, seed=2024, trial=nt)
+        sweeps = unit_sweeps(ch)
+        for snr_db in (0.0, 20.0):
+            p = SystemParams.from_snr_db(snr_db, 0.0, nt)
+            for decoders in (("SD",), ("JD",), ("SD", "JD")):
+                cell = solve_cell(ch, p, self.ALPHAS, decoders=decoders, sweeps=sweeps)
+                ref = per_cell_reference(ch, p, self.ALPHAS, decoders, sweeps)
+                assert list(cell) == list(ref)
+                for key, (w, mu, power, candidate) in ref.items():
+                    res = cell[key]
+                    assert np.array_equal(res.w, w), (snr_db, key)
+                    assert res.mu == mu, (snr_db, key)
+                    assert res.power == power, (snr_db, key)
+                    assert res.candidate == candidate, (snr_db, key)
+
+
+class TestBestConsider:
+    """The batch pick: highest value, then highest rss, then first row."""
+
+    @staticmethod
+    def batch(value, rss, keep=None):
+        n = len(value)
+        keep = np.ones(n, bool) if keep is None else np.asarray(keep)
+        return (np.asarray(value, float), np.asarray(rss, float),
+                np.arange(n) + 10.0, np.arange(n) + 100, keep)
+
+    def test_equal_values_higher_rss_wins(self):
+        best = solver_mod._Best()
+        assert best.consider(*self.batch([1.0, 2.0, 2.0, 0.5], [9.0, 0.1, 0.3, 9.0]),
+                             "sweep")
+        assert (best.value, best.rss, best.row, best.power) == (2.0, 0.3, 102, 12.0)
+
+    def test_equal_value_and_rss_first_position_wins(self):
+        best = solver_mod._Best()
+        best.consider(*self.batch([0.5, 2.0, 1.0, 2.0, 2.0], [0, 0.3, 1.0, 0.3, 0.3]),
+                      "sweep")
+        assert (best.row, best.power) == (101, 11.0)
+
+    def test_all_false_mask_leaves_incumbent(self):
+        best = solver_mod._Best()
+        best.consider(*self.batch([1.0], [1.0]), "first")
+        before = vars(best).copy()
+        assert not best.consider(*self.batch([5.0, 6.0], [5.0, 6.0], [False, False]),
+                                 "second")
+        assert vars(best) == before
+
+    def test_incumbent_wins_tie_against_later_batch(self):
+        best = solver_mod._Best()
+        assert best.consider(*self.batch([1.0, 3.0], [0.0, 2.0]), "first")
+        assert not best.consider(*self.batch([3.0, 0.0], [2.0, 9.0]), "second")
+        assert (best.sweep, best.row, best.value, best.rss) == ("first", 101, 3.0, 2.0)
+        assert best.consider(*self.batch([3.0], [2.5]), "third")
+        assert (best.sweep, best.row) == ("third", 100)
+
+    def test_agrees_with_lexsort_on_tied_random_batches(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            value = rng.integers(0, 4, n) / 4.0
+            rss = rng.integers(0, 3, n) / 2.0
+            keep = rng.random(n) < 0.7
+            best = solver_mod._Best()
+            best.consider(value, rss, np.zeros(n), np.arange(n), keep, "s")
+            idx = np.flatnonzero(keep)
+            if idx.size == 0:
+                assert not best.found
+                continue
+            assert best.row == idx[np.lexsort((idx, -rss[idx], -value[idx]))[0]]
+
+
+def seed_rows_reference(mu, rows, value, rss, keep, spacing, count):
+    """_seed_rows as a scan of the full lexsort order."""
+    idx = np.flatnonzero(keep)
+    seeds = []
+    for i in idx[np.lexsort((idx, -rss[idx], -value[idx]))]:
+        row = np.asarray(mu[rows[i]])
+        if all(np.max(np.abs(row - s)) >= solver_mod.SEED_SEPARATION * spacing
+               for s in seeds):
+            seeds.append(row)
+            if len(seeds) >= count:
+                break
+    return seeds
+
+
+class TestSeedRows:
+    def test_matches_lexsort_scan(self):
+        rng = np.random.default_rng(8)
+        mu = rng.integers(0, 11, (30, 3)) / 10.0
+        for _ in range(200):
+            n = int(rng.integers(1, 80))
+            rows = rng.integers(0, len(mu), n)
+            value = rng.integers(0, 5, n) / 4.0
+            rss = rng.integers(0, 3, n) / 2.0
+            keep = rng.random(n) < 0.8
+            count = int(rng.integers(1, 5))
+            got = solver_mod._seed_rows(mu, rows, value, rss, keep, 0.1, count)
+            want = seed_rows_reference(mu, rows, value, rss, keep, 0.1, count)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
 
 
 class TestBruteForce:
