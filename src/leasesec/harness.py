@@ -96,10 +96,9 @@ def _trial_values(cfg: SweepConfig, nt: int, trial_index: int) -> tuple:
     batches are shared across every (decoder, alpha) cell; solve_cell then
     rescores the shared candidates so cross-cell orderings are exact.
     """
-    m2 = 4 * cfg.simplex_resolution  # two-weight family gets the finer lattice
     base = SystemParams.from_snr_db(0.0, 0.0, nt)
     ch = sample_channels(base, TrialSeed(cfg.master_seed, trial_index))
-    sweeps = unit_sweeps(ch, cfg.simplex_resolution, m2)
+    sweeps = unit_sweeps(ch, cfg.simplex_resolution)
     out = np.empty((len(cfg.decoders), len(cfg.snr_db_list), len(cfg.alpha_list), _N_OUT))
     for i_s, snr in enumerate(cfg.snr_db_list):
         cell = solve_cell(

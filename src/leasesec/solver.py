@@ -2,12 +2,14 @@
 
 The single-user-decoding optimum lives on the power-gain-region boundary
 that suppresses the primary receiver and boosts the other two, at full
-power.  The joint-decoding optimum is the best of three candidate pools,
-one per branch of the piecewise secrecy rate, each restricted by its branch
-condition and the secondary QoS constraint.
+power.  The joint-decoding optimum is searched in three candidate pools,
+one per branch of the piecewise secrecy rate and one boundary family each.
 
-Both solvers run a coarse simplex lattice first and then shrink a local
-lattice around the incumbent a few times; the refinement is what pushes the
+One search engine, _search, serves solve_sd, solve_jd and solve_cell: each
+pool runs a coarse simplex lattice first, then walks a shrinking local
+lattice around its best rows a few times, and every batch the walks
+evaluate is scored once and folded into the running winner of every
+requested (decoder, alpha) cell.  The refinement is what pushes the
 worst-case gap to the continuous optimum below the millibit level, since
 constrained optima sit on QoS or branch boundaries that a fixed lattice
 straddles.  Brute-force oracles maximize the same objectives over dense
@@ -54,7 +56,6 @@ __all__ = [
 RATE_SLACK = 1e-9
 
 DEFAULT_RESOLUTION = 100
-DEFAULT_RESOLUTION_TWO_TERM = 400
 
 # Power grid of the pools whose transmit power is free, and of the JD oracle.
 INTERVAL_GRID_POINTS = 64
@@ -74,7 +75,7 @@ MAX_WALK_MOVES = 40
 NUM_SEEDS = 4
 SEED_SEPARATION = 3.0  # in units of the coarse lattice spacing
 # solve_cell, the sweep path, walks from one seed for two rounds per pool
-# and relies on rescoring every visited lattice across its cells.
+# and relies on folding every visited lattice into all of its cells.
 CELL_WALK_SEEDS = 1
 CELL_WALK_ROUNDS = 2
 
@@ -85,6 +86,12 @@ CELL_WALK_ROUNDS = 2
 INTERVAL_BAND = 4.0
 
 _POOLS = ("S1", "S2", "S3")
+# A joint-decoding candidate is labelled by its boundary family.
+_FAMILIES = {
+    DIRECTION_SUPPRESS_PRIMARY: "S1",
+    DIRECTION_SUPPRESS_PRIMARY_AND_EVE: "S2",
+    DIRECTION_TWO_TERM: "S3",
+}
 
 
 class InfeasibleSolveError(RuntimeError):
@@ -116,14 +123,14 @@ class UnitSweeps:
     Eigenvectors depend only on the channels and weights, never on the
     transmit powers, so one UnitSweeps serves every (SNR, alpha, decoder)
     cell that shares the channel realization.  s2 and s3 are None when only
-    the single-user family was swept (solve_sd without sweeps).
+    the single-user family was swept (solve_sd without sweeps).  The
+    two-weight family s3 has the finer lattice, resolution 4 * m.
     """
 
     s1: SweepResult
     s2: SweepResult | None
     s3: SweepResult | None
     m: int
-    m2: int
 
     def sweep(self, pool: str) -> SweepResult:
         return {"S1": self.s1, "S2": self.s2, "S3": self.s3}[pool]
@@ -134,19 +141,14 @@ def _require_general_position(ch: ChannelSet) -> None:
         raise DegenerateChannelError("channel vectors are not in general position")
 
 
-def unit_sweeps(
-    ch: ChannelSet,
-    m: int = DEFAULT_RESOLUTION,
-    m2: int = DEFAULT_RESOLUTION_TWO_TERM,
-) -> UnitSweeps:
+def unit_sweeps(ch: ChannelSet, m: int = DEFAULT_RESOLUTION) -> UnitSweeps:
     """All three candidate-family sweeps for one channel realization."""
     _require_general_position(ch)
     return UnitSweeps(
         s1=boundary_sweep(sample_simplex(3, m), DIRECTION_SUPPRESS_PRIMARY, ch),
         s2=boundary_sweep(sample_simplex(3, m), DIRECTION_SUPPRESS_PRIMARY_AND_EVE, ch),
-        s3=boundary_sweep(sample_simplex(2, m2), DIRECTION_TWO_TERM, ch),
+        s3=boundary_sweep(sample_simplex(2, 4 * m), DIRECTION_TWO_TERM, ch),
         m=m,
-        m2=m2,
     )
 
 
@@ -219,54 +221,37 @@ class _Best:
         return self.sweep is not None
 
 
-def _sd_scores(gains: np.ndarray, r_min: float, ch, p):
-    """(value, rss, keep, keep_relaxed) for single-user-decoding candidates.
+def _in_branch(pool: str, g_se, rss, ch: ChannelSet, p: SystemParams):
+    """The pool's branch condition of the piecewise joint-decoding rate,
+    closed at both ends so boundary points stay in both adjacent pools.
 
-    keep_relaxed drops only the QoS bound; it exists to seed a second
-    refinement pass, because the constrained optimum often hugs the QoS
-    boundary near the unconstrained maximum rather than near the best
-    feasible lattice row.
-    """
-    rss = secondary_rate_from_gain(gains[:, 2], ch, p)
-    value = sd_secrecy_from_gains(gains[:, 0], gains[:, 1], ch, p)
-    keep = rss >= r_min - RATE_SLACK
-    return value, rss, keep, np.ones_like(keep)
-
-
-def _jd_scores(gains: np.ndarray, r_min: float, pool: str, ch, p):
-    """(value, rss, keep, keep_relaxed) for one joint-decoding pool.
-
-    keep applies the pool's branch condition (closed at both ends, so
-    boundary points stay in both adjacent pools) plus the QoS bound;
-    keep_relaxed applies the branch condition alone.
-    """
-    rss = secondary_rate_from_gain(gains[:, 2], ch, p)
+    The single-user pool SD has no branch."""
+    if pool == "SD":
+        return np.ones(rss.shape, dtype=bool)
     s2e = p.sigma2_e
     ape = float(np.abs(ch.h_pe) ** 2 * p.p_p)
-    r_se_jd = np.log2(1.0 + gains[:, 1] / s2e)
-    r_se_sd = np.log2(1.0 + gains[:, 1] / (s2e + ape))
+    r_se_jd = np.log2(1.0 + g_se / s2e)
+    r_se_sd = np.log2(1.0 + g_se / (s2e + ape))
     if pool == "S1":
-        in_branch = r_se_jd <= rss + RATE_SLACK
-    elif pool == "S2":
-        in_branch = (r_se_sd <= rss + RATE_SLACK) & (rss <= r_se_jd + RATE_SLACK)
-    else:
-        in_branch = rss <= r_se_sd + RATE_SLACK
-    value, _ = jd_secrecy_from_gains(gains[:, 0], gains[:, 1], gains[:, 2], ch, p)
-    return value, rss, in_branch & (rss >= r_min - RATE_SLACK), in_branch
+        return r_se_jd <= rss + RATE_SLACK
+    if pool == "S2":
+        return (r_se_sd <= rss + RATE_SLACK) & (rss <= r_se_jd + RATE_SLACK)
+    return rss <= r_se_sd + RATE_SLACK
 
 
-def _pool_powers(sweep: SweepResult, pool: str, ch, p, band: float):
+def _pool_powers(sweep: SweepResult, pool: str, ch, p, band: float, levels=None):
     """(powers, rows) candidate expansion implementing the power rule.
 
-    S1 uses the budget alone.  S2 applies the lambda-sign rule: the budget
-    where the top eigenvalue is clearly positive (or always, with three or
-    more antennas, as many as the receivers), zero where clearly negative,
-    and the whole power grid within the band around zero.  S3 always sweeps
-    the power grid.
+    S1 uses the power levels, the budget alone by default.  S2 applies the
+    lambda-sign rule: the budget where the top eigenvalue is clearly
+    positive (or always, with three or more antennas, as many as the
+    receivers), zero where clearly negative, and the whole power grid
+    within the band around zero.  S3 always sweeps the power grid.
     """
     L = len(sweep.lam)
     if pool == "S1":
-        return np.full(L, p.p_s_max), np.arange(L)
+        levels = np.array([p.p_s_max] if levels is None else levels, dtype=float)
+        return np.tile(levels, L), np.repeat(np.arange(L), levels.size)
     grid = np.linspace(0.0, p.p_s_max, INTERVAL_GRID_POINTS)
     if pool == "S3":
         return np.tile(grid, L), np.repeat(np.arange(L), grid.size)
@@ -288,101 +273,102 @@ def _pool_powers(sweep: SweepResult, pool: str, ch, p, band: float):
     return np.concatenate(powers_list), np.concatenate(rows_list)
 
 
-def _pool(pool: str, sweeps: UnitSweeps, ch: ChannelSet, p: SystemParams,
-          levels=None):
-    """(coarse sweep, spacing, expand, scores) of one candidate pool.
+def _search(ch, base, alphas, decoders, sweeps, seeds, rounds, levels=None) -> dict:
+    """Walk-and-fold search for the (decoder, alpha) cells of one channel draw.
 
-    "SD" is the single-user pool: the S1 family at the power levels (the
-    budget alone by default).  S1, S2 and S3 are the joint-decoding pools,
-    each with its power rule and branch condition.  expand maps (sweep,
-    spacing) to flattened (powers, rows) candidates; scores maps an (n, 3)
-    gain array to (value, rss, keep, keep_relaxed).
+    For each alpha, each pool of the decoders (SD: the single-user rate on
+    the S1 family; S1, S2 and S3: the joint-decoding rate on their own
+    families, under their branch conditions) walks for `rounds` rounds
+    from up to `seeds` well-separated feasible coarse rows.  When the QoS
+    bound cuts the pool, one more walk starts from the QoS-relaxed winner:
+    a constrained optimum often hugs the QoS boundary near the
+    unconstrained maximum rather than near the best feasible lattice row.
+
+    Each batch (a sweep under its family's power rule) is scored the first
+    time it is seen and folded, in first-seen order, into every cell's
+    running winner under that cell's QoS mask alone; secrecy and the
+    secondary rate do not depend on alpha.  The walks share one memo of
+    refined lattices; a walk batch seen again is rescored to steer the
+    walk but not folded again.  Returns {(decoder, alpha): OptResult}.
     """
-    r_min = required_rate(ch, p)
-    if pool == "SD":
-        levels = np.array([p.p_s_max] if levels is None else levels, dtype=float)
+    alphas = tuple(alphas)
+    r_mins = {a: required_rate(ch, replace(base, alpha=a)) for a in alphas}
+    bests = {(dec, a): _Best() for a in alphas for dec in decoders}
+    pools = (("SD",) if "SD" in decoders else ()) + (_POOLS if "JD" in decoders else ())
+    memo: dict = {}  # (lattice bytes, direction) -> walk sweep
+    coarse: dict = {}  # family -> its scored coarse batch
 
-        def expand(sweep, _spc):
-            L = len(sweep.lam)
-            return np.tile(levels, L), np.repeat(np.arange(L), levels.size)
-
-        return sweeps.s1, 1.0 / sweeps.m, expand, lambda g: _sd_scores(g, r_min, ch, p)
-    return (
-        sweeps.sweep(pool),
-        1.0 / (sweeps.m2 if pool == "S3" else sweeps.m),
-        lambda sweep, spc: _pool_powers(sweep, pool, ch, p, INTERVAL_BAND * spc),
-        lambda g: _jd_scores(g, r_min, pool, ch, p),
-    )
-
-
-def _run_pool(
-    coarse: SweepResult,
-    spacing: float,
-    expand,
-    scores,
-    ch: ChannelSet,
-    rounds: int = REFINE_ROUNDS,
-    seeds: int = NUM_SEEDS,
-    collector: list | None = None,
-    memo: dict | None = None,
-) -> _Best:
-    """Coarse pass plus local refinement for one candidate pool.
-
-    Refinement runs twice when the seeds differ: once centered on feasible
-    winners and once on winners of the QoS-relaxed problem, harvesting only
-    feasible candidates from both.  collector, when given, receives every
-    evaluated (sweep, powers, rows) batch in order.  memo, when given, maps
-    (lattice bytes, direction) to the walk sweep already built for it, so a
-    lattice that another walk visited is not solved again.
-    """
-
-    def local_sweep(center_mu: np.ndarray, spc: float) -> SweepResult:
-        lattice = _local_simplex(center_mu, spc)
-        if memo is None:
-            return boundary_sweep(lattice, coarse.e, ch)
-        key = (lattice.tobytes(), coarse.e)
-        if key not in memo:
-            memo[key] = boundary_sweep(lattice, coarse.e, ch)
-        return memo[key]
-
-    def evaluate(sweep, spc):
-        powers, rows = expand(sweep, spc)
-        if collector is not None:
-            collector.append((sweep, powers, rows))
+    def score(sweep, spacing, decs):
+        """(powers, rows, g_se, rss, {decoder: value}) of one batch."""
+        powers, rows = _pool_powers(sweep, _FAMILIES[sweep.e], ch, base,
+                                    INTERVAL_BAND * spacing, levels)
         gains = sweep.unit_gains[rows] * powers[:, None]
-        value, rss, keep, keep_relaxed = scores(gains)
-        return value, rss, powers, rows, keep, keep_relaxed
+        values = {}
+        if "SD" in decs:
+            values["SD"] = sd_secrecy_from_gains(gains[:, 0], gains[:, 1], ch, base)
+        if "JD" in decs:
+            values["JD"], _ = jd_secrecy_from_gains(
+                gains[:, 0], gains[:, 1], gains[:, 2], ch, base
+            )
+        rss = secondary_rate_from_gain(gains[:, 2], ch, base)
+        return powers, rows, gains[:, 1], rss, values
 
-    value, rss, powers, rows, keep, keep_relaxed = evaluate(coarse, spacing)
-    best = _Best()
-    best.consider(value, rss, powers, rows, keep, coarse)
-    if not best.found and not np.any(keep_relaxed):
-        return best
+    def fold(sweep, batch):
+        powers, rows, _, rss, values = batch
+        keeps = {a: rss >= r_min - RATE_SLACK for a, r_min in r_mins.items()}
+        for (dec, a), best in bests.items():
+            best.consider(values[dec], rss, powers, rows, keeps[a], sweep)
 
-    def walk(start_mu: np.ndarray, use_relaxed: bool) -> None:
-        """Refine around one seed, harvesting feasible candidates into best."""
+    def steer(pool, batch, r_min):
+        """(value, keep, keep_relaxed) that a pool's walk follows."""
+        _, _, g_se, rss, values = batch
+        relaxed = _in_branch(pool, g_se, rss, ch, base)
+        value = values["SD" if pool == "SD" else "JD"]
+        return value, relaxed & (rss >= r_min - RATE_SLACK), relaxed
+
+    def walk(pool, e, mu, spacing, r_min, use_relaxed):
+        """Refine around one seed, recentring on the walk's own winner."""
         center = _Best()
-        center_mu = start_mu
-        spc = spacing
         for _ in range(rounds):
-            fine = spc / REFINE_FACTOR
+            fine = spacing / REFINE_FACTOR
             for _ in range(MAX_WALK_MOVES):
-                sweep = local_sweep(center_mu, spc)
-                v, r, pw, rw, k, k_rel = evaluate(sweep, fine)
-                moved = center.consider(v, r, pw, rw, k_rel if use_relaxed else k, sweep)
-                best.consider(v, r, pw, rw, k, sweep)
-                if not moved:
+                lattice = _local_simplex(mu, spacing)
+                key = (lattice.tobytes(), e)
+                sweep = memo.get(key)
+                if sweep is None:
+                    sweep = memo[key] = boundary_sweep(lattice, e, ch)
+                    batch = score(sweep, fine, decoders)
+                    fold(sweep, batch)
+                else:
+                    batch = score(sweep, fine, ("SD",) if pool == "SD" else ("JD",))
+                value, keep, relaxed = steer(pool, batch, r_min)
+                powers, rows, _, rss, _ = batch
+                if not center.consider(value, rss, powers, rows,
+                                       relaxed if use_relaxed else keep, sweep):
                     break
-                center_mu = np.asarray(center.sweep.mu[center.row])
-            spc = fine
+                mu = np.asarray(center.sweep.mu[center.row])
+            spacing = fine
 
-    for seed_mu in _seed_rows(coarse.mu, rows, value, rss, keep, spacing, seeds):
-        walk(seed_mu, use_relaxed=False)
-    if np.any(keep_relaxed & ~keep):
-        for seed_mu in _seed_rows(coarse.mu, rows, value, rss, keep_relaxed,
-                                  spacing, 1):
-            walk(seed_mu, use_relaxed=True)
-    return best
+    for alpha in alphas:
+        r_min = r_mins[alpha]
+        for pool in pools:
+            family = "S1" if pool == "SD" else pool
+            top = sweeps.sweep(family)
+            spacing = 1.0 / (4 * sweeps.m if family == "S3" else sweeps.m)
+            if family not in coarse:
+                coarse[family] = score(top, spacing, decoders)
+                fold(top, coarse[family])
+            _, rows, _, rss, _ = batch = coarse[family]
+            value, keep, relaxed = steer(pool, batch, r_min)
+            for mu in _seed_rows(top.mu, rows, value, rss, keep, spacing, seeds):
+                walk(pool, top.e, mu, spacing, r_min, False)
+            if np.any(relaxed & ~keep):
+                for mu in _seed_rows(top.mu, rows, value, rss, relaxed, spacing, 1):
+                    walk(pool, top.e, mu, spacing, r_min, True)
+    return {
+        (dec, a): _result(best, ch, replace(base, alpha=a), dec)
+        for (dec, a), best in bests.items()
+    }
 
 
 def _seed_rows(mu, rows, value, rss, keep, spacing, count: int):
@@ -401,18 +387,21 @@ def _seed_rows(mu, rows, value, rss, keep, spacing, count: int):
     return seeds
 
 
-def _result(best: _Best, ch: ChannelSet, p: SystemParams, candidate) -> OptResult:
-    """The OptResult of a search winner, scored with the single-user rate
-    when candidate is SINGLE_USER and with the joint-decoding rate otherwise."""
+def _result(best: _Best, ch: ChannelSet, p: SystemParams, decoder: str) -> OptResult:
+    """The OptResult of a search winner.  The single-user decoder is scored
+    with the single-user rate; the joint decoder with the joint-decoding
+    rate, labelled by the winner's boundary family."""
     if not best.found:
         raise InfeasibleSolveError(
             "no candidate meets the QoS constraint, which full-power MRT always meets"
         )
     w = best.sweep.beamformer(best.row, best.power)
-    if candidate == "SINGLE_USER":
+    if decoder == "SD":
         secrecy, regime = secrecy_rate_sd(w, ch, p), RegimeLabel.SINGLE_USER
+        candidate = "SINGLE_USER"
     else:
         secrecy, regime = secrecy_rate_jd(w, ch, p)
+        candidate = _FAMILIES[best.sweep.e]
     return OptResult(
         w=w,
         secrecy_bits=secrecy,
@@ -443,10 +432,10 @@ def solve_sd(
         coarse = boundary_sweep(
             sample_simplex(3, DEFAULT_RESOLUTION), DIRECTION_SUPPRESS_PRIMARY, ch
         )
-        sweeps = UnitSweeps(coarse, None, None, DEFAULT_RESOLUTION,
-                            DEFAULT_RESOLUTION_TWO_TERM)
-    best = _run_pool(*_pool("SD", sweeps, ch, p, power_levels), ch)
-    return _result(best, ch, p, "SINGLE_USER")
+        sweeps = UnitSweeps(coarse, None, None, DEFAULT_RESOLUTION)
+    cells = _search(ch, p, (p.alpha,), ("SD",), sweeps, NUM_SEEDS, REFINE_ROUNDS,
+                    power_levels)
+    return cells[("SD", p.alpha)]
 
 
 def solve_jd(
@@ -456,21 +445,19 @@ def solve_jd(
 ) -> OptResult:
     """Best beamformer against a joint-decoding eavesdropper.
 
-    Each pool (three-weight family suppressing the primary; the same with
-    the eavesdropper suppressed too, with its power rule; the two-weight
-    family over the primary and secondary channels with a free power) is
-    filtered by its branch condition and the QoS constraint, scored with
-    the piecewise secrecy rate, refined, and the best survivor wins; ties
-    go to the earlier pool.
+    Three pools are searched: the three-weight family suppressing the
+    primary; the same with the eavesdropper suppressed too, with its power
+    rule; and the two-weight family over the primary and secondary
+    channels with a free power.  Each pool's walks steer on the piecewise
+    secrecy rate under its branch condition and the QoS constraint.  The
+    answer is the best feasible candidate across all pools (ties go to the
+    first one evaluated), and its label is the boundary family it came
+    from: S1, S2 or S3.
     """
     if sweeps is None:
         sweeps = unit_sweeps(ch)
-    winner, winner_pool = _Best(), None
-    for pool in _POOLS:
-        best = _run_pool(*_pool(pool, sweeps, ch, p), ch)
-        if (best.value, best.rss) > (winner.value, winner.rss):
-            winner, winner_pool = best, pool
-    return _result(winner, ch, p, winner_pool)
+    cells = _search(ch, p, (p.alpha,), ("JD",), sweeps, NUM_SEEDS, REFINE_ROUNDS)
+    return cells[("JD", p.alpha)]
 
 
 def solve_cell(
@@ -482,66 +469,17 @@ def solve_cell(
 ) -> dict:
     """Solve every (decoder, alpha) cell of one channel draw coherently.
 
-    All cells rescore one shared candidate superset (the coarse sweeps plus
-    every locally refined lattice any cell's search visited).  That makes
-    the cross-cell comparisons exact instead of racing refinement noise:
-    the joint-decoding value can never exceed the single-user value, and
-    raising alpha can never raise either, because each answer is an argmax
-    over the same candidates under nested feasibility filters and pointwise
-    ordered objectives.  Returns {(decoder, alpha): OptResult}.
-
-    Each piece of work is done once per call.  The walks share one memo of
-    refined lattices, so a lattice that several alphas or pools visit is
-    eigensolved once.  Secrecy values and the secondary rate do not depend
-    on alpha, which enters only through the QoS mask, so each distinct
-    batch is scored once and folded into every cell's running winner.
+    All cells take their answer from one shared candidate set: the coarse
+    sweeps plus every refined lattice that any cell's walk visited.  So the
+    joint-decoding value never exceeds the single-user value and raising
+    alpha never raises either: each answer is an argmax over the same
+    candidates under nested feasibility filters and pointwise ordered
+    objectives.  The walks are shorter than those of solve_sd and solve_jd.
+    Returns {(decoder, alpha): OptResult}.
     """
     if sweeps is None:
         sweeps = unit_sweeps(ch)
-    alphas = tuple(alphas)
-    pools = (("SD",) if "SD" in decoders else ()) + (_POOLS if "JD" in decoders else ())
-    # (sweep id, pool) -> (sweep, powers, rows, pool), in first-seen order.
-    # Every sweep stays referenced (coarse ones by sweeps, walk ones by
-    # memo), so the ids are unique; a repeated batch is identical to its
-    # first copy and could never win the first-position tie-break.
-    batches: dict = {}
-    memo: dict = {}
-    for alpha in alphas:
-        p = replace(base, alpha=alpha)
-        for pool in pools:
-            trail: list = []
-            _run_pool(*_pool(pool, sweeps, ch, p), ch,
-                      CELL_WALK_ROUNDS, CELL_WALK_SEEDS, trail, memo)
-            for sweep, powers, rows in trail:
-                batches.setdefault((id(sweep), pool), (sweep, powers, rows, pool))
-
-    r_mins = {alpha: required_rate(ch, replace(base, alpha=alpha)) for alpha in alphas}
-    bests = {(dec, alpha): _Best() for alpha in alphas for dec in decoders}
-    best_pools = dict.fromkeys(bests)
-    for sweep, powers, rows, pool in batches.values():
-        gains = sweep.unit_gains[rows] * powers[:, None]
-        rss = secondary_rate_from_gain(gains[:, 2], ch, base)
-        values = {}
-        if "SD" in decoders:
-            values["SD"] = sd_secrecy_from_gains(gains[:, 0], gains[:, 1], ch, base)
-        if "JD" in decoders:
-            values["JD"], _ = jd_secrecy_from_gains(
-                gains[:, 0], gains[:, 1], gains[:, 2], ch, base
-            )
-        keeps = {alpha: rss >= r_min - RATE_SLACK for alpha, r_min in r_mins.items()}
-        for (dec, alpha), best in bests.items():
-            if best.consider(values[dec], rss, powers, rows, keeps[alpha], sweep):
-                best_pools[(dec, alpha)] = pool
-
-    results = {}
-    for (dec, alpha), best in bests.items():
-        if dec == "SD":
-            candidate = "SINGLE_USER"
-        else:  # the SD pool is the S1 family at full power
-            pool = best_pools[(dec, alpha)]
-            candidate = "S1" if pool == "SD" else pool
-        results[(dec, alpha)] = _result(best, ch, replace(base, alpha=alpha), candidate)
-    return results
+    return _search(ch, base, alphas, decoders, sweeps, CELL_WALK_SEEDS, CELL_WALK_ROUNDS)
 
 
 # Angular zoom for the two-antenna oracles: recenter a finer (theta, phi)

@@ -83,12 +83,12 @@ def _check_eigpair(report: ValidationReport, rng, count: int = 300) -> None:
         worst_val = max(worst_val, abs(lam - lam_ref))
         worst_res = max(worst_res, float(np.linalg.norm(dense @ v - lam * v)) / scale)
     report.add(
-        "max_eigpair_dense_agreement",
+        "top_eigpair_dense_agreement",
         worst_val <= 1e-10,
         f"worst |lambda - dense| = {worst_val:.2e} over {count} instances",
     )
     report.add(
-        "max_eigpair_residual",
+        "top_eigpair_residual",
         worst_res <= 1e-9,
         f"worst scaled residual = {worst_res:.2e}",
     )

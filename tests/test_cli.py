@@ -221,8 +221,11 @@ GOLDEN_SHA256 = {
         "061f0a14b08aed48e40d7dc9d43129f117e7281f86b6714a6542501456f16e25",
     ("pgr-boundary", "--seed", "4", "--resolution", "8", "--direction", "e2"):
         "311c0794bc1f2bf3be76a4356c7d8cbe40dfb9e92344cff1ea76ca9a70ac0493",
+    # solve_jd takes the best candidate across its pools.  Here the JD
+    # answer is MRT, which the S1 family (mu = (0, 0, 1)) and the S3
+    # family (mu = (0, 1)) both reach; the earlier S1 batch wins the tie.
     ("single", "--seed", "11001", "--trial", "0", "--nt", "2"):
-        "2f2349e1db8838efa4e423a3641284a4cb3f474bb2b8b8e7bd664381a429da4f",
+        "56d6a6e09422f616030277cfde973a925a7a3a26f8f59a69f6c94f2bfb0e09fe",
     ("single", "--seed", "11001", "--trial", "0", "--nt", "3"):
         "0fc2bd79d17a84b583741b097ff29ba69f8736de292314ff1ec9ca8e95133c1c",
     # Single-decoder sweeps: a sweep's answers still depend on which
@@ -237,6 +240,10 @@ GOLDEN_SHA256 = {
     ("sweep-nt", "--nt", "2", "4", "--trials", "2", "--seed", "5",
      "--alpha", "0", "0.8", "--workers", "2"):
         "44df85f7fad67b69ac1d668ac807ada50d84c07a50e481bf642d1ac08a779054",
+    # The pinned sweep, the behavioural contract of the sweep path.
+    ("sweep-snr", "--decoder", "BOTH", "--nt", "2", "3", "--snr-db", "0", "10", "20",
+     "30", "--alpha", "0", "0.5", "0.8", "--trials", "12", "--seed", "3"):
+        "4c4f15f319b8024833659751ea53d9a696b1e06fd7c5afb01dd3a5d4d0e421f5",
 }
 
 

@@ -21,8 +21,16 @@ from leasesec.rates import (
     secrecy_rate_jd,
     secrecy_rate_sd,
 )
+from leasesec.pgr import (
+    DIRECTION_SUPPRESS_PRIMARY,
+    DIRECTION_SUPPRESS_PRIMARY_AND_EVE,
+    DIRECTION_TWO_TERM,
+    boundary_sweep,
+)
 import leasesec.solver as solver_mod
 from leasesec.solver import (
+    NUM_SEEDS,
+    REFINE_ROUNDS,
     InfeasibleSolveError,
     brute_force_jd,
     brute_force_sd,
@@ -104,7 +112,7 @@ class TestSolveSd:
         # candidate means a broken search; it must raise even under -O.
         monkeypatch.setattr(solver_mod, "required_rate", lambda ch, p: np.inf)
         ch, p = draw()
-        sweeps = unit_sweeps(ch, m=12, m2=48)
+        sweeps = unit_sweeps(ch, m=12)
         for solve in (
             lambda: solve_sd(ch, p, sweeps=sweeps),
             lambda: solve_jd(ch, p, sweeps=sweeps),
@@ -196,55 +204,147 @@ class TestSolveCell:
         )
 
 
-def per_cell_reference(ch, base, alphas, decoders, sweeps):
-    """Reference solve_cell without its shortcuts: every walk eigensolves
-    its own lattices (no memo), and each (alpha, decoder) cell rescores every
-    distinct (sweep, pool) batch and takes each batch's pick by a full
-    lexsort.  Returns {(decoder, alpha): (w, mu, power, candidate)}."""
-    pools = (("SD",) if "SD" in decoders else ()) + (
-        ("S1", "S2", "S3") if "JD" in decoders else ())
-    batches = {}
+FAMILY = {DIRECTION_SUPPRESS_PRIMARY: "S1", DIRECTION_SUPPRESS_PRIMARY_AND_EVE: "S2",
+          DIRECTION_TWO_TERM: "S3"}
+
+
+def reference_scores(sweep, powers, rows, ch, p):
+    """(rss, {decoder: value}, g_se) of one batch."""
+    gains = sweep.unit_gains[rows] * powers[:, None]
+    sd = sd_secrecy_from_gains(gains[:, 0], gains[:, 1], ch, p)
+    jd, _ = jd_secrecy_from_gains(gains[:, 0], gains[:, 1], gains[:, 2], ch, p)
+    rss = secondary_rate_from_gain(gains[:, 2], ch, p)
+    return rss, {"SD": sd, "JD": jd}, gains[:, 1]
+
+
+def reference_branch(pool, g_se, rss, ch, p):
+    """Branch condition of a joint-decoding pool; none for the SD pool."""
+    slack = solver_mod.RATE_SLACK
+    r_jd = np.log2(1.0 + g_se / p.sigma2_e)
+    r_sd = np.log2(1.0 + g_se / (p.sigma2_e + abs(ch.h_pe) ** 2 * p.p_p))
+    return {
+        "SD": np.ones(rss.shape, bool),
+        "S1": r_jd <= rss + slack,
+        "S2": (r_sd <= rss + slack) & (rss <= r_jd + slack),
+        "S3": rss <= r_sd + slack,
+    }[pool]
+
+
+def reference_pick(value, rss, keep):
+    """First row of the full lexsort order under keep, or None."""
+    idx = np.flatnonzero(keep)
+    if idx.size == 0:
+        return None
+    return idx[np.lexsort((idx, -rss[idx], -value[idx]))[0]]
+
+
+def reference_batches(ch, base, alphas, pools, sweeps, seeds, rounds, levels=None):
+    """Every (pool, sweep, powers, rows) batch the walks evaluate, in order.
+
+    No memo: a lattice visited twice is eigensolved twice, and coarse
+    batches are scored again for every alpha and pool."""
+    out = []
+    slack = solver_mod.RATE_SLACK
+
+    def evaluate(pool, sweep, spacing):
+        band = solver_mod.INTERVAL_BAND * spacing
+        powers, rows = solver_mod._pool_powers(sweep, FAMILY[sweep.e], ch, base, band,
+                                               levels)
+        out.append((pool, sweep, powers, rows))
+        rss, values, g_se = reference_scores(sweep, powers, rows, ch, base)
+        relaxed = reference_branch(pool, g_se, rss, ch, base)
+        return powers, rows, rss, values["SD" if pool == "SD" else "JD"], relaxed
+
     for alpha in alphas:
-        p = replace(base, alpha=alpha)
+        r_min = required_rate(ch, replace(base, alpha=alpha))
         for pool in pools:
-            trail = []
-            solver_mod._run_pool(*solver_mod._pool(pool, sweeps, ch, p), ch,
-                                 solver_mod.CELL_WALK_ROUNDS,
-                                 solver_mod.CELL_WALK_SEEDS, trail)
-            for sweep, powers, rows in trail:
-                batches.setdefault((id(sweep), pool), (sweep, powers, rows, pool))
+            family = "S1" if pool == "SD" else pool
+            coarse = sweeps.sweep(family)
+            spacing = 1.0 / (4 * sweeps.m if family == "S3" else sweeps.m)
+            _, rows, rss, value, relaxed = evaluate(pool, coarse, spacing)
+            keep = relaxed & (rss >= r_min - slack)
+            starts = [(mu, False) for mu in seed_rows_reference(
+                coarse.mu, rows, value, rss, keep, spacing, seeds)]
+            if np.any(relaxed & ~keep):
+                starts += [(mu, True) for mu in seed_rows_reference(
+                    coarse.mu, rows, value, rss, relaxed, spacing, 1)]
+            for mu, use_relaxed in starts:
+                center, spc = (-np.inf, -np.inf), spacing
+                for _ in range(rounds):
+                    fine = spc / solver_mod.REFINE_FACTOR
+                    for _ in range(solver_mod.MAX_WALK_MOVES):
+                        sweep = boundary_sweep(solver_mod._local_simplex(mu, spc),
+                                               coarse.e, ch)
+                        _, rows, rss, value, relaxed = evaluate(pool, sweep, fine)
+                        if not use_relaxed:
+                            relaxed &= rss >= r_min - slack
+                        i = reference_pick(value, rss, relaxed)
+                        if i is None or not (value[i], rss[i]) > center:
+                            break
+                        center, mu = (value[i], rss[i]), np.asarray(sweep.mu[rows[i]])
+                    spc = fine
+    return out
+
+
+def reference_cells(ch, base, alphas, decoders, batches):
+    """Each (decoder, alpha) cell's winner over every batch in order, by a
+    full lexsort under the cell's QoS mask; strictly better takes over.
+    Returns {(decoder, alpha): (w, mu, power, candidate)}."""
+    scored = [(sweep, powers, rows, *reference_scores(sweep, powers, rows, ch, base))
+              for _, sweep, powers, rows in batches]
     out = {}
     for alpha in alphas:
-        p = replace(base, alpha=alpha)
-        r_min = required_rate(ch, p)
+        r_min = required_rate(ch, replace(base, alpha=alpha))
         for dec in decoders:
-            best = (-np.inf, -np.inf, None, -1, 0.0, None)
-            for sweep, powers, rows, pool in batches.values():
-                gains = sweep.unit_gains[rows] * powers[:, None]
-                rss = secondary_rate_from_gain(gains[:, 2], ch, p)
-                if dec == "SD":
-                    value = sd_secrecy_from_gains(gains[:, 0], gains[:, 1], ch, p)
-                else:
-                    value, _ = jd_secrecy_from_gains(
-                        gains[:, 0], gains[:, 1], gains[:, 2], ch, p)
-                idx = np.flatnonzero(rss >= r_min - solver_mod.RATE_SLACK)
-                if idx.size == 0:
-                    continue
-                i = idx[np.lexsort((idx, -rss[idx], -value[idx]))[0]]
-                if (value[i], rss[i]) > best[:2]:
-                    best = (value[i], rss[i], sweep, rows[i], powers[i], pool)
-            _, _, sweep, row, power, pool = best
-            if dec == "SD":
-                candidate = "SINGLE_USER"
-            else:
-                candidate = "S1" if pool == "SD" else pool
+            best = (-np.inf, -np.inf, None, -1, 0.0)
+            for sweep, powers, rows, rss, values, _ in scored:
+                keep = rss >= r_min - solver_mod.RATE_SLACK
+                i = reference_pick(values[dec], rss, keep)
+                if i is not None and (values[dec][i], rss[i]) > best[:2]:
+                    best = (values[dec][i], rss[i], sweep, rows[i], powers[i])
+            _, _, sweep, row, power = best
+            candidate = "SINGLE_USER" if dec == "SD" else FAMILY[sweep.e]
             mu = tuple(float(x) for x in sweep.mu[row])
             out[(dec, alpha)] = (sweep.beamformer(row, power), mu, float(power),
                                  candidate)
     return out
 
 
+def per_pool_jd_reference(ch, p, batches):
+    """The per-pool joint-decoding rule: each pool's best under its branch
+    condition and the QoS mask, and across pools only a strictly better
+    (value, rss) takes over, so the earlier pool wins ties.  Returns the
+    winner's secrecy rate."""
+    r_min = required_rate(ch, p)
+    best = (-np.inf, -np.inf, None, -1, 0.0)
+    for pool in ("S1", "S2", "S3"):
+        pool_best = (-np.inf, -np.inf, None, -1, 0.0)
+        for _, sweep, powers, rows in (b for b in batches if b[0] == pool):
+            rss, values, g_se = reference_scores(sweep, powers, rows, ch, p)
+            keep = reference_branch(pool, g_se, rss, ch, p)
+            i = reference_pick(values["JD"], rss,
+                               keep & (rss >= r_min - solver_mod.RATE_SLACK))
+            if i is not None and (values["JD"][i], rss[i]) > pool_best[:2]:
+                pool_best = (values["JD"][i], rss[i], sweep, rows[i], powers[i])
+        if pool_best[:2] > best[:2]:
+            best = pool_best
+    _, _, sweep, row, power = best
+    return secrecy_rate_jd(sweep.beamformer(row, power), ch, p)[0]
+
+
+def assert_same_result(res, ref, where):
+    w, mu, power, candidate = ref
+    assert np.array_equal(res.w, w), where
+    assert res.mu == mu, where
+    assert res.power == power, where
+    assert res.candidate == candidate, where
+
+
 class TestSolveCellParity:
+    """solve_sd, solve_jd and solve_cell against a reference search that has
+    its own walk (no memo, every coarse batch scored per alpha and pool)
+    and picks each cell's winner by a full lexsort over every batch."""
+
     ALPHAS = (0.0, 0.5, 0.8, 1.0)
 
     @pytest.mark.parametrize("nt", [2, 3, 5])
@@ -255,14 +355,55 @@ class TestSolveCellParity:
             p = SystemParams.from_snr_db(snr_db, 0.0, nt)
             for decoders in (("SD",), ("JD",), ("SD", "JD")):
                 cell = solve_cell(ch, p, self.ALPHAS, decoders=decoders, sweeps=sweeps)
-                ref = per_cell_reference(ch, p, self.ALPHAS, decoders, sweeps)
+                pools = (("SD",) if "SD" in decoders else ()) + (
+                    ("S1", "S2", "S3") if "JD" in decoders else ())
+                batches = reference_batches(ch, p, self.ALPHAS, pools, sweeps,
+                                            solver_mod.CELL_WALK_SEEDS,
+                                            solver_mod.CELL_WALK_ROUNDS)
+                ref = reference_cells(ch, p, self.ALPHAS, decoders, batches)
                 assert list(cell) == list(ref)
-                for key, (w, mu, power, candidate) in ref.items():
-                    res = cell[key]
-                    assert np.array_equal(res.w, w), (snr_db, key)
-                    assert res.mu == mu, (snr_db, key)
-                    assert res.power == power, (snr_db, key)
-                    assert res.candidate == candidate, (snr_db, key)
+                for key, want in ref.items():
+                    assert_same_result(cell[key], want, (snr_db, key))
+
+    @pytest.mark.parametrize("nt", [2, 3, 5])
+    def test_solve_sd_and_jd_match_reference(self, nt):
+        ch, _ = draw(nt=nt, seed=2024, trial=nt)
+        sweeps = unit_sweeps(ch)
+        for snr_db, alpha in ((0.0, 0.5), (20.0, 0.8)):
+            p = SystemParams.from_snr_db(snr_db, alpha, nt)
+            levels = [0.5 * p.p_s_max, p.p_s_max]
+            cases = (
+                ("SD", ("SD",), solve_sd(ch, p, sweeps=sweeps), None),
+                ("SD", ("SD",), solve_sd(ch, p), None),
+                ("SD", ("SD",), solve_sd(ch, p, levels, sweeps), levels),
+                ("JD", ("S1", "S2", "S3"), solve_jd(ch, p, sweeps=sweeps), None),
+            )
+            for dec, pools, res, levels in cases:
+                batches = reference_batches(ch, p, (alpha,), pools, sweeps, NUM_SEEDS,
+                                            REFINE_ROUNDS, levels)
+                want = reference_cells(ch, p, (alpha,), (dec,), batches)[(dec, alpha)]
+                assert_same_result(res, want, (snr_db, dec, levels))
+
+
+class TestSolveJdNeverBelow:
+    """solve_jd keeps the best candidate across its pools, so it never falls
+    below the per-pool rule on the same walks, and never above solve_sd."""
+
+    @pytest.mark.parametrize("nt", [2, 3, 5])
+    def test_at_least_per_pool_rule_and_at_most_sd(self, nt):
+        for trial in range(3):
+            for snr_db, alpha in ((0.0, 0.0), (10.0, 0.5), (20.0, 0.8)):
+                p = SystemParams.from_snr_db(snr_db, alpha, nt)
+                ch = sample_channels(p, TrialSeed(4242, trial))
+                sweeps = unit_sweeps(ch)
+                jd = solve_jd(ch, p, sweeps=sweeps)
+                batches = reference_batches(ch, p, (alpha,), ("S1", "S2", "S3"), sweeps,
+                                            NUM_SEEDS, REFINE_ROUNDS)
+                per_pool = per_pool_jd_reference(ch, p, batches)
+                sd = solve_sd(ch, p, sweeps=sweeps)
+                where = (trial, snr_db, alpha)
+                assert jd.secrecy_bits >= per_pool - 1e-12, where
+                assert jd.secrecy_bits <= sd.secrecy_bits + 1e-9, where
 
 
 class TestBestConsider:
