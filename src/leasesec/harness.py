@@ -129,6 +129,8 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> list[SweepRow]:
     count because trials are independent and the reduction runs in trial
     order.
     """
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     nts = [nt for nt in cfg.nt_list for _ in range(cfg.trials)]
     trial_ids = [t for _ in cfg.nt_list for t in range(cfg.trials)]
     task = functools.partial(_trial_values, cfg)

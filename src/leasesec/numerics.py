@@ -1,10 +1,11 @@
-"""Complex vector helpers and the small eigensolver behind the boundary sweeps.
+"""Complex vector helpers and the 2x2 eigensolver behind the boundary sweeps.
 
 The matrices of interest are always Z = sum_k c_k h_k h_k^* with at most
 three terms.  pgr.boundary_sweep solves their eigenproblems in the span of
-the h_k (dimension <= 3) with jacobi_eigh and accounts for the zero
-eigenvalue of the orthogonal complement separately, so the cost does not
-depend on the ambient dimension.
+the h_k and accounts for the zero eigenvalue of the orthogonal complement
+separately, so the cost does not depend on the ambient dimension.  A span
+of dimension <= 2 goes to jacobi_eigh, one exact Jacobi rotation with no
+iteration; a 3-dimensional span goes to LAPACK (numpy.linalg.eigh).
 """
 
 from __future__ import annotations
@@ -16,7 +17,10 @@ import numpy as np
 __all__ = ["inner", "orthonormal_span_basis", "jacobi_eigh"]
 
 # Residual threshold for dropping a vector from a span basis.
-DEFAULT_SPAN_TOL = 1e-10
+SPAN_TOL = 1e-10
+# Off-diagonal threshold, relative to the Frobenius norm, below which a
+# 2x2 batch is already diagonal and jacobi_eigh does not rotate it.
+JACOBI_TOL = 1e-13
 # |lambda_in_span - 0| below this counts as a tie with the complement
 # eigenvalue; the in-span eigenvector is preferred (deterministic output).
 TIE_TOL = 1e-12
@@ -24,8 +28,6 @@ TIE_TOL = 1e-12
 # group; the returned eigenvector is canonicalized inside the group so that
 # rounding noise cannot swing it around the subspace.
 TIE_GROUP_TOL = 1e-11
-
-_PIVOTS = {1: (), 2: ((0, 1),), 3: ((0, 1), (0, 2), (1, 2))}
 
 
 def inner(a: np.ndarray, b: np.ndarray) -> complex:
@@ -37,14 +39,12 @@ def inner(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.vdot(a, b))
 
 
-def orthonormal_span_basis(
-    vectors: Sequence[np.ndarray], tol: float = DEFAULT_SPAN_TOL
-) -> list[np.ndarray]:
+def orthonormal_span_basis(vectors: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Orthonormal basis of span(vectors) by modified Gram-Schmidt.
 
-    A vector whose residual after projection is below tol times its own norm
-    is treated as linearly dependent and dropped.  All-zero input gives an
-    empty basis.
+    A vector whose residual after projection is below SPAN_TOL times its
+    own norm is treated as linearly dependent and dropped.  All-zero input
+    gives an empty basis.
     """
     vecs = [np.asarray(v, dtype=np.complex128) for v in vectors]
     if not vecs:
@@ -62,16 +62,17 @@ def orthonormal_span_basis(
             for b in basis:
                 u = u - b * np.vdot(b, u)
         res = np.linalg.norm(u)
-        if res >= tol * own:
+        if res >= SPAN_TOL * own:
             basis.append(u / res)
     return basis
 
 
-def jacobi_eigh(mats: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60):
-    """Eigendecomposition of Hermitian matrices of size <= 3 by cyclic Jacobi.
+def jacobi_eigh(mats: np.ndarray):
+    """Eigendecomposition of Hermitian 1x1 or 2x2 matrices by one Jacobi rotation.
 
-    mats: (n, n) or batched (L, n, n) complex Hermitian.  Rotations repeat
-    until the off-diagonal norm of every matrix falls below tol times its
+    mats: (n, n) or batched (L, n, n) complex Hermitian, n <= 2.  One
+    rotation diagonalizes a 2x2 matrix exactly; the batch skips it only when
+    every off-diagonal entry is below JACOBI_TOL times its matrix's
     Frobenius norm.  Returns (eigenvalues ascending, eigenvector columns).
     """
     A = np.array(mats, dtype=np.complex128, copy=True)
@@ -79,21 +80,13 @@ def jacobi_eigh(mats: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60):
     if single:
         A = A[None]
     L, n, n2 = A.shape
-    if n != n2 or n not in _PIVOTS:
-        raise ValueError(f"expected square matrices of size 1..3, got {A.shape}")
+    if n != n2 or n not in (1, 2):
+        raise ValueError(f"expected square matrices of size 1 or 2, got {A.shape}")
     V = np.tile(np.eye(n, dtype=np.complex128), (L, 1, 1))
-    if n > 1:
-        thresh = tol * np.maximum(np.linalg.norm(A, axis=(1, 2)), 1e-300)
-        for _ in range(max_sweeps):
-            off2 = np.zeros(L)
-            for p, q in _PIVOTS[n]:
-                off2 += np.abs(A[:, p, q]) ** 2
-            if np.all(off2 <= thresh * thresh):
-                break
-            for p, q in _PIVOTS[n]:
-                _rotate(A, V, p, q)
-        else:
-            raise RuntimeError("Jacobi sweep limit reached without convergence")
+    if n == 2:
+        thresh = JACOBI_TOL * np.maximum(np.linalg.norm(A, axis=(1, 2)), 1e-300)
+        if not np.all(np.abs(A[:, 0, 1]) ** 2 <= thresh * thresh):
+            _rotate(A, V)
     vals = np.real(np.diagonal(A, axis1=1, axis2=2)).copy()
     order = np.argsort(vals, axis=1, kind="stable")
     vals = np.take_along_axis(vals, order, axis=1)
@@ -103,14 +96,14 @@ def jacobi_eigh(mats: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60):
     return vals, V
 
 
-def _rotate(A: np.ndarray, V: np.ndarray, p: int, q: int) -> None:
-    """One batched Jacobi rotation zeroing A[:, p, q] (in place)."""
-    apq = A[:, p, q].copy()
+def _rotate(A: np.ndarray, V: np.ndarray) -> None:
+    """The batched Jacobi rotation zeroing A[:, 0, 1] of 2x2 matrices (in place)."""
+    apq = A[:, 0, 1].copy()
     m = np.abs(apq)
     act = m > 0.0
     safe_m = np.where(act, m, 1.0)
     ph = np.where(act, apq / safe_m, 1.0 + 0.0j)
-    tau = np.where(act, (A[:, q, q].real - A[:, p, p].real) / (2.0 * safe_m), 0.0)
+    tau = np.where(act, (A[:, 1, 1].real - A[:, 0, 0].real) / (2.0 * safe_m), 0.0)
     t = np.where(
         act,
         np.where(tau >= 0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau)),
@@ -121,14 +114,14 @@ def _rotate(A: np.ndarray, V: np.ndarray, p: int, q: int) -> None:
     jqp = -s * np.conj(ph)
     jqq = c * np.conj(ph)
     for M in (A, V):
-        colp = M[:, :, p].copy()
-        colq = M[:, :, q].copy()
-        M[:, :, p] = colp * c[:, None] + colq * jqp[:, None]
-        M[:, :, q] = colp * s[:, None] + colq * jqq[:, None]
-    rowp = A[:, p, :].copy()
-    rowq = A[:, q, :].copy()
-    A[:, p, :] = np.conj(c)[:, None] * rowp + np.conj(jqp)[:, None] * rowq
-    A[:, q, :] = np.conj(s)[:, None] * rowp + np.conj(jqq)[:, None] * rowq
+        colp = M[:, :, 0].copy()
+        colq = M[:, :, 1].copy()
+        M[:, :, 0] = colp * c[:, None] + colq * jqp[:, None]
+        M[:, :, 1] = colp * s[:, None] + colq * jqq[:, None]
+    rowp = A[:, 0, :].copy()
+    rowq = A[:, 1, :].copy()
+    A[:, 0, :] = np.conj(c)[:, None] * rowp + np.conj(jqp)[:, None] * rowq
+    A[:, 1, :] = np.conj(s)[:, None] * rowp + np.conj(jqq)[:, None] * rowq
 
 
 def canonical_top_coords(vals: np.ndarray, vecs: np.ndarray, scale: np.ndarray):

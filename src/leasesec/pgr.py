@@ -6,7 +6,9 @@ a sign direction e are swept by weighting the channels over the probability
 simplex, taking the top eigenvector of Z = sum_k mu_k e_k h_k h_k^*, and
 scaling by a transmit power.  boundary_sweep is the one eigen path: it
 shares one span basis per channel set, so the per-point cost does not grow
-with n_t, and a single boundary point is a one-row sweep.
+with n_t, and a single boundary point is a one-row sweep.  Each row is an
+r x r eigenproblem in span coordinates: numpy.linalg.eigh solves r = 3,
+and numerics.jacobi_eigh's single rotation solves r <= 2.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import numpy as np
 
 from .model import ChannelSet
 from .numerics import (
-    DEFAULT_SPAN_TOL,
     TIE_TOL,
     canonical_top_coords,
     fix_phase,
@@ -133,7 +134,7 @@ def boundary_sweep(mu: np.ndarray, e: Sequence[int], ch: ChannelSet) -> SweepRes
         raise ValueError(f"mu has {mu.shape[1]} weights for a {k}-term direction")
     chans = _term_channels(ch, k)
     n = ch.n_t
-    basis = orthonormal_span_basis(list(chans), DEFAULT_SPAN_TOL)
+    basis = orthonormal_span_basis(list(chans))
     if not basis:
         raise ValueError("all channel vectors are zero")
     B = np.column_stack(basis)
@@ -143,7 +144,7 @@ def boundary_sweep(mu: np.ndarray, e: Sequence[int], ch: ChannelSet) -> SweepRes
     coeff = mu * np.asarray(e, dtype=float)[None, :]
     S = np.einsum("lk,kij->lij", coeff, outers)
     S = (S + np.conj(np.transpose(S, (0, 2, 1)))) / 2.0
-    vals, vecs = jacobi_eigh(S)
+    vals, vecs = np.linalg.eigh(S) if r == 3 else jacobi_eigh(S)
     lam = vals[:, -1].copy()
     coords = canonical_top_coords(vals, vecs, np.linalg.norm(S, axis=(1, 2)))
     if r < n:
@@ -183,9 +184,10 @@ def boundary_beamformer(
 ) -> BoundaryPoint:
     """One boundary point: w = sqrt(power) * v_max(sum_k mu_k e_k h_k h_k^*).
 
-    A one-row boundary_sweep.  Batching rows would change the result in the
-    last bits, because Jacobi keeps rotating rows that have already
-    converged while others have not.
+    A one-row boundary_sweep, equal bit for bit to the same row of a batched
+    sweep except on a 2x2 row that is already diagonal within
+    numerics.JACOBI_TOL: alone it is not rotated, in a batch that other rows
+    need rotating it is.
     """
     mu = np.asarray(mu, dtype=float)
     e_t = tuple(int(s) for s in e)

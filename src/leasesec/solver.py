@@ -56,6 +56,8 @@ __all__ = [
 RATE_SLACK = 1e-9
 
 DEFAULT_RESOLUTION = 100
+# The two-weight family S3 is swept on a lattice this many times finer.
+TWO_TERM_FACTOR = 4
 
 # Power grid of the pools whose transmit power is free, and of the JD oracle.
 INTERVAL_GRID_POINTS = 64
@@ -124,7 +126,7 @@ class UnitSweeps:
     transmit powers, so one UnitSweeps serves every (SNR, alpha, decoder)
     cell that shares the channel realization.  s2 and s3 are None when only
     the single-user family was swept (solve_sd without sweeps).  The
-    two-weight family s3 has the finer lattice, resolution 4 * m.
+    two-weight family s3 has the finer lattice, resolution TWO_TERM_FACTOR * m.
     """
 
     s1: SweepResult
@@ -147,7 +149,7 @@ def unit_sweeps(ch: ChannelSet, m: int = DEFAULT_RESOLUTION) -> UnitSweeps:
     return UnitSweeps(
         s1=boundary_sweep(sample_simplex(3, m), DIRECTION_SUPPRESS_PRIMARY, ch),
         s2=boundary_sweep(sample_simplex(3, m), DIRECTION_SUPPRESS_PRIMARY_AND_EVE, ch),
-        s3=boundary_sweep(sample_simplex(2, 4 * m), DIRECTION_TWO_TERM, ch),
+        s3=boundary_sweep(sample_simplex(2, TWO_TERM_FACTOR * m), DIRECTION_TWO_TERM, ch),
         m=m,
     )
 
@@ -354,7 +356,7 @@ def _search(ch, base, alphas, decoders, sweeps, seeds, rounds, levels=None) -> d
         for pool in pools:
             family = "S1" if pool == "SD" else pool
             top = sweeps.sweep(family)
-            spacing = 1.0 / (4 * sweeps.m if family == "S3" else sweeps.m)
+            spacing = 1.0 / (TWO_TERM_FACTOR * sweeps.m if family == "S3" else sweeps.m)
             if family not in coarse:
                 coarse[family] = score(top, spacing, decoders)
                 fold(top, coarse[family])

@@ -27,6 +27,8 @@ from leasesec.solver import (
     unit_sweeps,
 )
 
+pytestmark = pytest.mark.acceptance
+
 WORKERS = 2
 
 ORACLE_SEED = 20260810

