@@ -51,6 +51,8 @@ class SweepConfig:
             values = getattr(self, name)
             if len(values) == 0:
                 raise ConfigError(f"{name} must not be empty")
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{name} must not repeat a value, got {tuple(values)}")
         if any(n < 2 for n in self.nt_list):
             raise ConfigError(f"antenna counts must be >= 2, got {self.nt_list}")
         if any(not 0.0 <= a <= 1.0 for a in self.alpha_list):

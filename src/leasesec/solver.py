@@ -61,6 +61,8 @@ TWO_TERM_FACTOR = 4
 
 # Power grid of the pools whose transmit power is free, and of the JD oracle.
 INTERVAL_GRID_POINTS = 64
+# The JD oracle scores its grid in blocks of this many points per power.
+SCAN_BLOCK = 1 << 15
 
 # Local refinement: each round walks a +/- REFINE_SPAN-step box around the
 # incumbent (recentering while the winner keeps improving, so a ridge along
@@ -626,6 +628,40 @@ def brute_force_sd(
     return _oracle_result(best_w, ch, p, p.p_s_max)
 
 
+def _jd_power_scan(unit_gains, powers, r_min: float, ch: ChannelSet, p: SystemParams):
+    """Best (value, rss, power index, flat index) of the joint-decoding
+    secrecy rate over unit-gain points (..., 3) times each grid power.
+
+    Only points that meet the QoS bound are scored, SCAN_BLOCK points at a
+    time.  Ties go to the first flat index within a power and to the first
+    power across powers at equal (value, rss).  A power with no feasible
+    point is skipped; if none has one, the result is (-inf, -inf, 0, 0).
+    """
+    g_sp, g_se, g_ss = np.ascontiguousarray(unit_gains.reshape(-1, 3).T)
+    best = (-np.inf, -np.inf, 0, 0)
+    for k, power in enumerate(powers):
+        top = (-np.inf, -np.inf, 0)
+        for lo in range(0, g_ss.size, SCAN_BLOCK):
+            ss = power * g_ss[lo:lo + SCAN_BLOCK]
+            rss = secondary_rate_from_gain(ss, ch, p)
+            ok = rss >= r_min - RATE_SLACK
+            sp, se = g_sp[lo:lo + SCAN_BLOCK], g_se[lo:lo + SCAN_BLOCK]
+            pos = None
+            if not ok.all():
+                pos = np.flatnonzero(ok)
+                if pos.size == 0:
+                    continue
+                sp, se, ss, rss = sp[pos], se[pos], ss[pos], rss[pos]
+            val, _ = jd_secrecy_from_gains(power * sp, power * se, ss, ch, p)
+            j = int(np.argmax(val))
+            if val[j] > top[0]:
+                i = lo + (j if pos is None else int(pos[j]))
+                top = (float(val[j]), float(rss[j]), i)
+        if (top[0], top[1]) > (best[0], best[1]):
+            best = (top[0], top[1], k, top[2])
+    return best
+
+
 def brute_force_jd(
     ch: ChannelSet,
     p: SystemParams,
@@ -650,26 +686,11 @@ def brute_force_jd(
 
         return score
 
-    def scan(unit_gains):
-        """Best (value, rss, power index, flat index) over the power grid."""
-        flat = unit_gains.reshape(-1, 3)
-        best = (-np.inf, -np.inf, 0, 0)
-        for k, power in enumerate(powers):
-            g = power * flat
-            rss = secondary_rate_from_gain(g[:, 2], ch, p)
-            val, _ = jd_secrecy_from_gains(g[:, 0], g[:, 1], g[:, 2], ch, p)
-            val = np.where(rss >= r_min - RATE_SLACK, val, -np.inf)
-            i = int(np.argmax(val))
-            cand = (float(val[i]), float(rss[i]), k, i)
-            if (cand[0], cand[1]) > (best[0], best[1]):
-                best = cand
-        return best
-
     if ch.n_t == 2:
         grid_t = np.linspace(0.0, np.pi / 2.0, n_theta)
         grid_p = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
         unit = _angular_gain_window(ch, grid_t, grid_p)
-        val, _rss, k, i = scan(unit)
+        val, _rss, k, i = _jd_power_scan(unit, powers, r_min, ch, p)
         feasible = bool(np.isfinite(val))
         if not feasible:  # no grid point meets the QoS bound
             i = int(np.argmax(unit.reshape(-1, 3)[:, 2]))
@@ -700,7 +721,7 @@ def brute_force_jd(
     best = (-np.inf, -np.inf, 0, 0)
     best_w = None
     for w_chunk, unit in _random_unit_gains(ch, n_random, seed):
-        val, rss, k, i = scan(unit)
+        val, rss, k, i = _jd_power_scan(unit, powers, r_min, ch, p)
         if (val, rss) > (best[0], best[1]):
             best = (val, rss, k, i)
             best_w = np.sqrt(powers[k]) * w_chunk[i]

@@ -191,6 +191,14 @@ class TestCommands:
         assert code == 2
         assert "config error: workers must be >= 1" in capsys.readouterr().err
 
+    def test_repeated_sweep_values_are_config_error(self, capsys):
+        code = main(["sweep-snr", "--decoder", "SD", "--nt", "2", "2", "--snr-db", "0", "0",
+                     "--alpha", "0.5", "0.5", "--trials", "2", "--seed", "1", "--out", "-"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "config error:" in captured.err
+        assert captured.out == ""
+
     def test_pgr_boundary_output(self, tmp_path):
         out_file = tmp_path / "boundary.csv"
         res = run_cli("pgr-boundary", "--seed", "4", "--nt", "2",

@@ -31,6 +31,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SweepConfig(snr_db_list=())
 
+    @pytest.mark.parametrize("field, values", [
+        ("snr_db_list", (0.0, 10.0, 0.0)),
+        ("nt_list", (2, 2)),
+        ("alpha_list", (0.5, 0.5)),
+    ])
+    def test_rejects_repeated_values(self, field, values):
+        with pytest.raises(ConfigError) as err:
+            SweepConfig(**{field: values})
+        assert field in str(err.value)
+        assert "repeat" in str(err.value)
+
     def test_rejects_bad_alpha(self):
         with pytest.raises(ConfigError):
             SweepConfig(alpha_list=(0.2, 1.2))

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import numpy.testing as npt
@@ -15,6 +15,7 @@ from leasesec.model import (
 from leasesec.rates import (
     jd_secrecy_from_gains,
     peaceful_rate,
+    r_s_max,
     required_rate,
     sd_secrecy_from_gains,
     secondary_rate_from_gain,
@@ -546,3 +547,99 @@ class TestBruteForce:
         res = brute_force_sd(ch, p, n_random=20000)
         assert res.secrecy_bits <= solve_sd(ch, p).secrecy_bits + 1e-6
         assert res.secrecy_bits <= peaceful_rate(ch, p) + 1e-12
+
+
+def reference_power_scan(unit_gains, powers, r_min, ch, p):
+    """The full-grid power scan: every point scored at every power, the QoS
+    mask applied afterwards with np.where, one argmax per power; across
+    powers only a strictly better (value, rss) takes over."""
+    flat = unit_gains.reshape(-1, 3)
+    best = (-np.inf, -np.inf, 0, 0)
+    for k, power in enumerate(powers):
+        g = power * flat
+        rss = secondary_rate_from_gain(g[:, 2], ch, p)
+        val, _ = jd_secrecy_from_gains(g[:, 0], g[:, 1], g[:, 2], ch, p)
+        val = np.where(rss >= r_min - solver_mod.RATE_SLACK, val, -np.inf)
+        i = int(np.argmax(val))
+        cand = (float(val[i]), float(rss[i]), k, i)
+        if cand[:2] > best[:2]:
+            best = cand
+    return best
+
+
+class TestBruteForceJdParity:
+    """brute_force_jd against the same oracle driven by the full-grid
+    reference scan: every OptResult field equal, w bit for bit, and every
+    scan result equal wherever the reference found a feasible point."""
+
+    SCAN = staticmethod(solver_mod._jd_power_scan)
+
+    @staticmethod
+    def run(monkeypatch, scan, ch, p, **grid):
+        seen = []
+
+        def recording(*args):
+            seen.append(scan(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(solver_mod, "_jd_power_scan", recording)
+        return brute_force_jd(ch, p, **grid), seen
+
+    def check(self, monkeypatch, ch, p, **grid):
+        """Asserts parity; returns the oracle's feasible flag."""
+        got, got_scans = self.run(monkeypatch, self.SCAN, ch, p, **grid)
+        want, want_scans = self.run(monkeypatch, reference_power_scan, ch, p, **grid)
+        assert got.w.tobytes() == want.w.tobytes()
+        for f in fields(want):
+            if f.name != "w":
+                assert getattr(got, f.name) == getattr(want, f.name), f.name
+        assert len(got_scans) == len(want_scans)
+        for g, w in zip(got_scans, want_scans):
+            assert g == (w if np.isfinite(w[0]) else (-np.inf, -np.inf, 0, 0))
+        return want.feasible
+
+    def test_two_antennas_reduced_grid(self, monkeypatch):
+        feasible = []
+        for k, (snr_db, alpha) in enumerate(
+            (s, a) for s in (0.0, 10.0, 30.0) for a in (0.0, 0.5, 0.8, 1.0)
+        ):
+            ch, p = draw(nt=2, snr_db=snr_db, alpha=alpha, seed=1010, trial=k)
+            feasible.append(self.check(monkeypatch, ch, p, n_theta=101, n_phi=200))
+        assert not all(feasible)  # the all-infeasible fallback is covered
+
+    def test_qos_bound_within_slack_of_best_grid_rate(self, monkeypatch):
+        # Only the grid points of highest secondary rate meet the QoS bound,
+        # and only through RATE_SLACK.
+        ch, p = draw(nt=2, snr_db=10.0, alpha=0.0, seed=1010, trial=21)
+        grid_t = np.linspace(0.0, np.pi / 2.0, 101)
+        grid_p = np.linspace(0.0, 2.0 * np.pi, 200, endpoint=False)
+        top = np.max(solver_mod._angular_gain_window(ch, grid_t, grid_p)[..., 2])
+        rss = secondary_rate_from_gain(p.p_s_max * top, ch, p)
+        p = replace(p, alpha=(rss + solver_mod.RATE_SLACK / 2) / r_s_max(ch, p))
+        assert self.check(monkeypatch, ch, p, n_theta=101, n_phi=200)
+
+    def test_two_antennas_default_grid(self, monkeypatch):
+        ch, p = draw(nt=2, snr_db=10.0, alpha=0.5, seed=1010, trial=20)
+        assert self.check(monkeypatch, ch, p)
+
+    @pytest.mark.parametrize("nt", [3, 4])
+    def test_random_directions(self, monkeypatch, nt):
+        feasible = []
+        for k, (snr_db, alpha) in enumerate(((0.0, 0.0), (10.0, 0.5), (30.0, 0.8),
+                                             (10.0, 1.0))):
+            ch, p = draw(nt=nt, snr_db=snr_db, alpha=alpha, seed=1020, trial=k)
+            feasible.append(self.check(monkeypatch, ch, p, n_random=20000))
+        assert not all(feasible)
+
+
+class TestJdPowerScan:
+    def test_first_index_wins_a_tie_across_blocks(self):
+        ch, p = draw(nt=3, alpha=0.0, trial=1)
+        block = solver_mod.SCAN_BLOCK
+        _, unit = next(solver_mod._random_unit_gains(ch, block + 64, seed=3))
+        powers = np.linspace(0.0, p.p_s_max, 4)
+        val, rss, k, i = solver_mod._jd_power_scan(unit, powers, 0.0, ch, p)
+        assert val > 0.0  # one point maximizes, no tie at the zero clamp
+        tied = np.delete(unit, i, axis=0)
+        tied[[5, block + 9]] = unit[i]
+        assert solver_mod._jd_power_scan(tied, powers, 0.0, ch, p) == (val, rss, k, 5)
