@@ -4,6 +4,10 @@ The single-user-decoding optimum lives on the power-gain-region boundary
 that suppresses the primary receiver and boosts the other two, at full
 power.  The joint-decoding optimum is searched in three candidate pools,
 one per branch of the piecewise secrecy rate and one boundary family each.
+Against a joint decoder partial power can beat full power, but along a
+fixed direction the best power has a closed form (_jd_powers), so power is
+computed, never searched: the free-power pools score each direction at the
+budget and at its exact best power under each QoS bound of the call.
 
 One search engine, _search, serves solve_sd, solve_jd and solve_cell: each
 pool runs a coarse simplex lattice first, then walks a shrinking local
@@ -13,8 +17,9 @@ requested (decoder, alpha) cell.  The refinement is what pushes the
 worst-case gap to the continuous optimum below the millibit level, since
 constrained optima sit on QoS or branch boundaries that a fixed lattice
 straddles.  Brute-force oracles maximize the same objectives over dense
-angular (and power) grids and exist purely to validate the boundary
-parameterization; they share nothing with it but the rate formulas.
+angular grids (random directions for n_t >= 3) and exist purely to validate
+the boundary parameterization; they share nothing with it but the rate
+formulas and, for the joint decoder, the exact power of each direction.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from .rates import (
     jd_secrecy_from_gains,
     required_rate,
     sd_secrecy_from_gains,
+    secondary_noise,
     secondary_rate,
     secondary_rate_from_gain,
     secrecy_rate_jd,
@@ -59,9 +65,8 @@ DEFAULT_RESOLUTION = 100
 # The two-weight family S3 is swept on a lattice this many times finer.
 TWO_TERM_FACTOR = 4
 
-# Power grid of the pools whose transmit power is free, and of the JD oracle.
-INTERVAL_GRID_POINTS = 64
-# The JD oracle scores its grid in blocks of this many points per power.
+# The JD oracle scores its directions in blocks of this many, so that its
+# temporaries stay well below those of brute_force_sd's default grid.
 SCAN_BLOCK = 1 << 15
 
 # Local refinement: each round walks a +/- REFINE_SPAN-step box around the
@@ -82,12 +87,6 @@ SEED_SEPARATION = 3.0  # in units of the coarse lattice spacing
 # and relies on folding every visited lattice into all of its cells.
 CELL_WALK_SEEDS = 1
 CELL_WALK_ROUNDS = 2
-
-# Rows whose top eigenvalue is within this many lattice spacings of zero
-# (times the channel power scale) get the full power grid: the power
-# interval that opens exactly at lambda == 0 is never hit by a lattice, so
-# nearby rows stand in for it.
-INTERVAL_BAND = 4.0
 
 _POOLS = ("S1", "S2", "S3")
 # A joint-decoding candidate is labelled by its boundary family.
@@ -180,10 +179,6 @@ def _local_simplex(center: np.ndarray, spacing: float) -> np.ndarray:
     return rows / rows.sum(axis=1, keepdims=True)
 
 
-def _lambda_scale(ch: ChannelSet) -> float:
-    return max(1.0, max(float(np.linalg.norm(h) ** 2) for h in ch.secondary_vectors()))
-
-
 def _top(value: np.ndarray, rss: np.ndarray, idx: np.ndarray) -> int:
     """The index in (ascending) idx with the highest value, then the highest
     rss among rows tied on value, then the first position; O(len(idx))."""
@@ -243,38 +238,87 @@ def _in_branch(pool: str, g_se, rss, ch: ChannelSet, p: SystemParams):
     return rss <= r_se_sd + RATE_SLACK
 
 
-def _pool_powers(sweep: SweepResult, pool: str, ch, p, band: float, levels=None):
-    """(powers, rows) candidate expansion implementing the power rule.
+def _jd_powers(unit: np.ndarray, r_mins, ch: ChannelSet, p: SystemParams) -> np.ndarray:
+    """Best joint-decoding transmit power of each direction under each QoS bound.
 
-    S1 uses the power levels, the budget alone by default.  S2 applies the
-    lambda-sign rule: the budget where the top eigenvalue is clearly
-    positive (or always, with three or more antennas, as many as the
-    receivers), zero where clearly negative, and the whole power grid
-    within the band around zero.  S3 always sweeps the power grid.
+    unit holds the (n, 3) unit-power gains (g_sp, g_se, g_ss) of n
+    directions.  Returns (n, len(r_mins)) powers in [P_qos, p_s_max], where
+    P_qos = (2^r_min - 1) N_s / g_ss puts the secondary rate at r_min; the
+    budget where it meets the bound only through RATE_SLACK; nan where it
+    misses it (g_ss = 0 under a positive bound, or alpha 1 away from MRT).
+
+    Along a direction every gain is P times its unit gain, and each side of
+    both branch tests of the piecewise rate is log2(1 + P x), so the branch
+    is the same at every P > 0: 0 iff g_se/sigma_e^2 <= g_ss/N_s, 2 iff
+    g_ss/N_s < g_se/(sigma_e^2 + a_pe).  In branches 0 and 1 the derivative
+    in P is a sum of four terms k_i/(c_i + d_i P) with sum k_i/d_i = 0, so
+    its sign is that of a quadratic q(P); in branch 2 the rate falls and
+    q < 0 everywhere.  So the rate has at most two local maxima on
+    [P_qos, p_s_max]: the root where q falls through zero, and an end where
+    q points outward.  The better of the two is kept, the higher power on
+    a tie.
+    """
+    a, b, c = unit[:, 0], unit[:, 1], unit[:, 2]
+    app = float(np.abs(ch.h_pp) ** 2 * p.p_p)
+    ape = float(np.abs(ch.h_pe) ** 2 * p.p_p)
+    s_p, s_e, n_s = p.sigma2_p, p.sigma2_e, float(secondary_noise(ch, p))
+    # sign(d rate/dP) = sign(u (s_p + aP)(s_p + app + aP)
+    #                        - a app (s_e + ape + bP)(y0 + y1 P))
+    bn = b * n_s
+    case0 = bn <= c * s_e
+    u = np.where(case0, b * ape, c * (s_e + ape) - bn)
+    y0 = np.where(case0, s_e, n_s)
+    y1 = np.where(case0, b, c)
+    ua, v = u * a, a * app
+    q2 = (ua - app * b * y1) * a
+    q1 = ua * (2.0 * s_p + app) - v * ((s_e + ape) * y1 + b * y0)
+    q0 = u * (s_p * (s_p + app)) - v * (s_e + ape) * y0
+    disc = q1 * q1 - 4.0 * q2 * q0
+    sq = np.sqrt(np.maximum(disc, 0.0))
+    # The root where q falls through zero, in the form free of cancellation.
+    q1_neg = q1 <= 0.0
+    num = np.where(q1_neg, 2.0 * q0, -q1 - sq)
+    den = np.where(q1_neg, sq - q1, 2.0 * q2)
+    root = np.divide(num, den, out=np.full(len(a), np.nan),
+                     where=(disc >= 0.0) & (den != 0.0))
+    hi = p.p_s_max
+    r_mins = np.asarray(r_mins, dtype=float)[:, None]
+    # One row per bound from here on.
+    ok = c * hi >= (np.exp2(r_mins - RATE_SLACK) - 1.0) * n_s
+    need = np.exp2(r_mins) - 1.0
+    lo = np.broadcast_to(np.where(need > 0.0, hi, 0.0), ok.shape).copy()
+    np.divide(need * n_s, c, out=lo, where=c > 0.0)
+    lo = np.minimum(lo, hi)
+    inside = (lo <= root) & (root <= hi)
+    small = np.where((q2 * lo + q1) * lo + q0 < 0.0, lo, np.where(inside, root, hi))
+    large = np.where((q2 * hi + q1) * hi + q0 > 0.0, hi, np.where(inside, root, lo))
+    small, large = np.minimum(small, large), np.maximum(small, large)
+    j, i = np.nonzero(ok & (small < large))
+    if i.size:
+        g = unit[np.concatenate([i, i])] * np.concatenate([small[j, i], large[j, i]])[:, None]
+        value, _ = jd_secrecy_from_gains(g[:, 0], g[:, 1], g[:, 2], ch, p)
+        large[j, i] = np.where(value[i.size:] >= value[:i.size], large[j, i], small[j, i])
+    return np.where(ok, large, np.nan).T
+
+
+def _pool_powers(sweep: SweepResult, pool: str, ch, p, r_mins, levels=None):
+    """(powers, rows) candidate expansion of one batch.
+
+    S1 uses the power levels, the budget alone by default.  S2 and S3 give
+    every row the budget, then, row by row, each distinct exact best power
+    (_jd_powers) under the call's QoS bounds that differs from the budget.
     """
     L = len(sweep.lam)
     if pool == "S1":
         levels = np.array([p.p_s_max] if levels is None else levels, dtype=float)
         return np.tile(levels, L), np.repeat(np.arange(L), levels.size)
-    grid = np.linspace(0.0, p.p_s_max, INTERVAL_GRID_POINTS)
-    if pool == "S3":
-        return np.tile(grid, L), np.repeat(np.arange(L), grid.size)
-    tol = band * _lambda_scale(ch)
-    if ch.n_t >= 3:
-        kind = np.zeros(L, dtype=int)
-    else:
-        kind = np.where(sweep.lam > tol, 0, np.where(sweep.lam < -tol, 2, 1))
-    rows_list = [np.flatnonzero(kind == 0)]
-    powers_list = [np.full(rows_list[0].size, p.p_s_max)]
-    interval = np.flatnonzero(kind == 1)
-    if interval.size:
-        rows_list.append(np.repeat(interval, grid.size))
-        powers_list.append(np.tile(grid, interval.size))
-    zero = np.flatnonzero(kind == 2)
-    if zero.size:
-        rows_list.append(zero)
-        powers_list.append(np.zeros(zero.size))
-    return np.concatenate(powers_list), np.concatenate(rows_list)
+    best = _jd_powers(sweep.unit_gains, r_mins, ch, p)
+    new = ~np.isnan(best) & (best != p.p_s_max)
+    for j in range(1, best.shape[1]):
+        new[:, j] &= np.all(best[:, j:j + 1] != best[:, :j], axis=1)
+    rows, cols = np.nonzero(new)
+    return (np.concatenate([np.full(L, p.p_s_max), best[rows, cols]]),
+            np.concatenate([np.arange(L), rows]))
 
 
 def _search(ch, base, alphas, decoders, sweeps, seeds, rounds, levels=None) -> dict:
@@ -288,29 +332,30 @@ def _search(ch, base, alphas, decoders, sweeps, seeds, rounds, levels=None) -> d
     a constrained optimum often hugs the QoS boundary near the
     unconstrained maximum rather than near the best feasible lattice row.
 
-    Each batch (a sweep under its family's power rule) is scored the first
-    time it is seen and folded, in first-seen order, into every cell's
-    running winner under that cell's QoS mask alone; secrecy and the
-    secondary rate do not depend on alpha.  The walks share one memo of
-    refined lattices; a walk batch seen again is rescored to steer the
-    walk but not folded again.  Returns {(decoder, alpha): OptResult}.
+    Each batch (a sweep under _pool_powers, which gives the free-power
+    families every alpha's exact power) is scored the first time it is
+    seen and folded, in first-seen order, into every cell's running winner
+    under that cell's QoS mask alone; secrecy and the secondary rate do not
+    depend on alpha.  The walks share one memo of refined lattices and
+    their scored batches; a walk batch seen again steers the walk but is
+    not folded again.  Returns {(decoder, alpha): OptResult}.
     """
     alphas = tuple(alphas)
     r_mins = {a: required_rate(ch, replace(base, alpha=a)) for a in alphas}
     bests = {(dec, a): _Best() for a in alphas for dec in decoders}
     pools = (("SD",) if "SD" in decoders else ()) + (_POOLS if "JD" in decoders else ())
-    memo: dict = {}  # (lattice bytes, direction) -> walk sweep
+    memo: dict = {}  # (lattice bytes, direction) -> (walk sweep, its batch)
     coarse: dict = {}  # family -> its scored coarse batch
 
-    def score(sweep, spacing, decs):
+    def score(sweep):
         """(powers, rows, g_se, rss, {decoder: value}) of one batch."""
         powers, rows = _pool_powers(sweep, _FAMILIES[sweep.e], ch, base,
-                                    INTERVAL_BAND * spacing, levels)
+                                    tuple(r_mins.values()), levels)
         gains = sweep.unit_gains[rows] * powers[:, None]
         values = {}
-        if "SD" in decs:
+        if "SD" in decoders:
             values["SD"] = sd_secrecy_from_gains(gains[:, 0], gains[:, 1], ch, base)
-        if "JD" in decs:
+        if "JD" in decoders:
             values["JD"], _ = jd_secrecy_from_gains(
                 gains[:, 0], gains[:, 1], gains[:, 2], ch, base
             )
@@ -338,13 +383,11 @@ def _search(ch, base, alphas, decoders, sweeps, seeds, rounds, levels=None) -> d
             for _ in range(MAX_WALK_MOVES):
                 lattice = _local_simplex(mu, spacing)
                 key = (lattice.tobytes(), e)
-                sweep = memo.get(key)
-                if sweep is None:
-                    sweep = memo[key] = boundary_sweep(lattice, e, ch)
-                    batch = score(sweep, fine, decoders)
-                    fold(sweep, batch)
-                else:
-                    batch = score(sweep, fine, ("SD",) if pool == "SD" else ("JD",))
+                if key not in memo:
+                    sweep = boundary_sweep(lattice, e, ch)
+                    memo[key] = sweep, score(sweep)
+                    fold(*memo[key])
+                sweep, batch = memo[key]
                 value, keep, relaxed = steer(pool, batch, r_min)
                 powers, rows, _, rss, _ = batch
                 if not center.consider(value, rss, powers, rows,
@@ -360,7 +403,7 @@ def _search(ch, base, alphas, decoders, sweeps, seeds, rounds, levels=None) -> d
             top = sweeps.sweep(family)
             spacing = 1.0 / (TWO_TERM_FACTOR * sweeps.m if family == "S3" else sweeps.m)
             if family not in coarse:
-                coarse[family] = score(top, spacing, decoders)
+                coarse[family] = score(top)
                 fold(top, coarse[family])
             _, rows, _, rss, _ = batch = coarse[family]
             value, keep, relaxed = steer(pool, batch, r_min)
@@ -450,10 +493,11 @@ def solve_jd(
     """Best beamformer against a joint-decoding eavesdropper.
 
     Three pools are searched: the three-weight family suppressing the
-    primary; the same with the eavesdropper suppressed too, with its power
-    rule; and the two-weight family over the primary and secondary
-    channels with a free power.  Each pool's walks steer on the piecewise
-    secrecy rate under its branch condition and the QoS constraint.  The
+    primary, at full power; the same with the eavesdropper suppressed too,
+    and the two-weight family over the primary and secondary channels,
+    both at full power and at each direction's exact best power under the
+    QoS bound.  Each pool's walks steer on the piecewise secrecy rate
+    under its branch condition and the QoS constraint.  The
     answer is the best feasible candidate across all pools (ties go to the
     first one evaluated), and its label is the boundary family it came
     from: S1, S2 or S3.
@@ -478,7 +522,9 @@ def solve_cell(
     joint-decoding value never exceeds the single-user value and raising
     alpha never raises either: each answer is an argmax over the same
     candidates under nested feasibility filters and pointwise ordered
-    objectives.  The walks are shorter than those of solve_sd and solve_jd.
+    objectives; the free-power pools emit each direction's exact power
+    under every alpha of the call, so the set does not depend on the cell.
+    The walks are shorter than those of solve_sd and solve_jd.
     Returns {(decoder, alpha): OptResult}.
     """
     if sweeps is None:
@@ -573,6 +619,51 @@ def _oracle_result(w, ch, p, power, jd=False, feasible=True) -> OptResult:
     )
 
 
+def _brute_force(ch, p, exact, jd, n_theta, n_phi, n_random, seed) -> OptResult:
+    """Maximize over directions: the (theta, phi) grid plus zoom for two
+    antennas, random unit directions otherwise.
+
+    exact maps (..., 3) unit gains to (value, power): each direction's
+    objective at its power, -inf where it cannot meet the QoS bound.  With
+    no feasible direction the answer is the full-power direction of highest
+    secondary rate (MRT in random mode), marked infeasible.
+    """
+    if ch.n_t == 2 and min(n_theta, n_phi) < 2:
+        raise ValueError(f"n_theta and n_phi must be >= 2, got {n_theta} and {n_phi}")
+    if ch.n_t != 2 and n_random < 1:
+        raise ValueError(f"n_random must be >= 1, got {n_random}")
+    if ch.n_t == 2:
+        val, theta, phi = _angular_maximize(ch, lambda unit: exact(unit)[0], n_theta, n_phi)
+        if np.isfinite(val):
+            unit = _angular_gain_window(ch, np.array([theta]), np.array([phi]))
+            power = float(exact(unit)[1][0, 0])
+            w = np.sqrt(power) * np.array([np.cos(theta), np.sin(theta) * np.exp(1j * phi)])
+            return _oracle_result(w, ch, p, power, jd)
+        grid_t = np.linspace(0.0, np.pi / 2.0, n_theta)
+        grid_p = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
+        rss = secondary_rate_from_gain(
+            p.p_s_max * _angular_gain_window(ch, grid_t, grid_p)[..., 2], ch, p
+        )
+        ti, pi = np.unravel_index(int(np.argmax(rss)), rss.shape)
+        w = np.sqrt(p.p_s_max) * np.array(
+            [np.cos(grid_t[ti]), np.sin(grid_t[ti]) * np.exp(1j * grid_p[pi])]
+        )
+        return _oracle_result(w, ch, p, p.p_s_max, jd, feasible=False)
+    best_val, best_w, best_power = -np.inf, None, p.p_s_max
+    for w_chunk, unit in _random_unit_gains(ch, n_random, seed):
+        value, power = exact(unit)
+        i = int(np.argmax(value))
+        if value[i] > best_val:
+            best_val, best_power = float(value[i]), float(power[i])
+            best_w = np.sqrt(best_power) * w_chunk[i]
+    if best_w is None:
+        return _oracle_result(
+            np.sqrt(p.p_s_max) * ch.h_ss / np.linalg.norm(ch.h_ss), ch, p,
+            p.p_s_max, jd, feasible=False,
+        )
+    return _oracle_result(best_w, ch, p, best_power, jd)
+
+
 def brute_force_sd(
     ch: ChannelSet,
     p: SystemParams,
@@ -587,79 +678,15 @@ def brute_force_sd(
     otherwise (only good for one-sided sanity checks in that case).
     """
     r_min = required_rate(ch, p)
-    if ch.n_t == 2:
 
-        def score(unit):
-            gains = p.p_s_max * unit
-            rss = secondary_rate_from_gain(gains[..., 2], ch, p)
-            rsec = sd_secrecy_from_gains(gains[..., 0], gains[..., 1], ch, p)
-            return np.where(rss >= r_min - RATE_SLACK, rsec, -np.inf)
-
-        val, theta, phi = _angular_maximize(ch, score, n_theta, n_phi)
-        feasible = bool(np.isfinite(val))
-        if not feasible:  # no grid point meets the QoS bound; report the closest
-            grid_t = np.linspace(0.0, np.pi / 2.0, n_theta)
-            grid_p = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
-            rss = secondary_rate_from_gain(
-                p.p_s_max * _angular_gain_window(ch, grid_t, grid_p)[..., 2], ch, p
-            )
-            ti, pi = np.unravel_index(int(np.argmax(rss)), rss.shape)
-            theta, phi = float(grid_t[ti]), float(grid_p[pi])
-        w = np.sqrt(p.p_s_max) * np.array(
-            [np.cos(theta), np.sin(theta) * np.exp(1j * phi)]
-        )
-        return _oracle_result(w, ch, p, p.p_s_max, feasible=feasible)
-    best_val = -np.inf
-    best_w = None
-    for w_chunk, unit in _random_unit_gains(ch, n_random, seed):
+    def exact(unit):
         gains = p.p_s_max * unit
-        rss = secondary_rate_from_gain(gains[:, 2], ch, p)
-        rsec = sd_secrecy_from_gains(gains[:, 0], gains[:, 1], ch, p)
-        rsec = np.where(rss >= r_min - RATE_SLACK, rsec, -np.inf)
-        i = int(np.argmax(rsec))
-        if rsec[i] > best_val:
-            best_val = float(rsec[i])
-            best_w = np.sqrt(p.p_s_max) * w_chunk[i]
-    if best_w is None or not np.isfinite(best_val):
-        return _oracle_result(
-            np.sqrt(p.p_s_max) * ch.h_ss / np.linalg.norm(ch.h_ss), ch, p,
-            p.p_s_max, feasible=False,
-        )
-    return _oracle_result(best_w, ch, p, p.p_s_max)
+        rss = secondary_rate_from_gain(gains[..., 2], ch, p)
+        rsec = sd_secrecy_from_gains(gains[..., 0], gains[..., 1], ch, p)
+        return (np.where(rss >= r_min - RATE_SLACK, rsec, -np.inf),
+                np.broadcast_to(p.p_s_max, rss.shape))
 
-
-def _jd_power_scan(unit_gains, powers, r_min: float, ch: ChannelSet, p: SystemParams):
-    """Best (value, rss, power index, flat index) of the joint-decoding
-    secrecy rate over unit-gain points (..., 3) times each grid power.
-
-    Only points that meet the QoS bound are scored, SCAN_BLOCK points at a
-    time.  Ties go to the first flat index within a power and to the first
-    power across powers at equal (value, rss).  A power with no feasible
-    point is skipped; if none has one, the result is (-inf, -inf, 0, 0).
-    """
-    g_sp, g_se, g_ss = np.ascontiguousarray(unit_gains.reshape(-1, 3).T)
-    best = (-np.inf, -np.inf, 0, 0)
-    for k, power in enumerate(powers):
-        top = (-np.inf, -np.inf, 0)
-        for lo in range(0, g_ss.size, SCAN_BLOCK):
-            ss = power * g_ss[lo:lo + SCAN_BLOCK]
-            rss = secondary_rate_from_gain(ss, ch, p)
-            ok = rss >= r_min - RATE_SLACK
-            sp, se = g_sp[lo:lo + SCAN_BLOCK], g_se[lo:lo + SCAN_BLOCK]
-            pos = None
-            if not ok.all():
-                pos = np.flatnonzero(ok)
-                if pos.size == 0:
-                    continue
-                sp, se, ss, rss = sp[pos], se[pos], ss[pos], rss[pos]
-            val, _ = jd_secrecy_from_gains(power * sp, power * se, ss, ch, p)
-            j = int(np.argmax(val))
-            if val[j] > top[0]:
-                i = lo + (j if pos is None else int(pos[j]))
-                top = (float(val[j]), float(rss[j]), i)
-        if (top[0], top[1]) > (best[0], best[1]):
-            best = (top[0], top[1], k, top[2])
-    return best
+    return _brute_force(ch, p, exact, False, n_theta, n_phi, n_random, seed)
 
 
 def brute_force_jd(
@@ -667,67 +694,24 @@ def brute_force_jd(
     p: SystemParams,
     n_theta: int = 401,
     n_phi: int = 800,
-    n_power: int = INTERVAL_GRID_POINTS,
     n_random: int = 10**5,
     seed: int = 0,
 ) -> OptResult:
-    """Direct maximization of the joint-decoding secrecy rate over
-    (direction, transmit power); the power axis matters because partial
-    power is occasionally optimal against a joint decoder."""
+    """Direct maximization of the joint-decoding secrecy rate over the
+    direction, as brute_force_sd; partial power is occasionally optimal
+    against a joint decoder, so each direction is scored at its exact best
+    power (_jd_powers) rather than at the budget."""
     r_min = required_rate(ch, p)
-    powers = np.linspace(0.0, p.p_s_max, n_power)
 
-    def score_at(power):
-        def score(unit):
-            g = power * unit
-            rss = secondary_rate_from_gain(g[..., 2], ch, p)
-            val, _ = jd_secrecy_from_gains(g[..., 0], g[..., 1], g[..., 2], ch, p)
-            return np.where(rss >= r_min - RATE_SLACK, val, -np.inf)
+    def exact(unit):
+        flat = unit.reshape(-1, 3)
+        value, power = np.full(len(flat), -np.inf), np.empty(len(flat))
+        for lo in range(0, len(flat), SCAN_BLOCK):
+            block = flat[lo:lo + SCAN_BLOCK]
+            power[lo:lo + SCAN_BLOCK] = best = _jd_powers(block, (r_min,), ch, p)[:, 0]
+            ok = np.flatnonzero(~np.isnan(best))
+            g = block[ok] * best[ok, None]
+            value[lo + ok], _ = jd_secrecy_from_gains(g[:, 0], g[:, 1], g[:, 2], ch, p)
+        return value.reshape(unit.shape[:-1]), power.reshape(unit.shape[:-1])
 
-        return score
-
-    if ch.n_t == 2:
-        grid_t = np.linspace(0.0, np.pi / 2.0, n_theta)
-        grid_p = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
-        unit = _angular_gain_window(ch, grid_t, grid_p)
-        val, _rss, k, i = _jd_power_scan(unit, powers, r_min, ch, p)
-        feasible = bool(np.isfinite(val))
-        if not feasible:  # no grid point meets the QoS bound
-            i = int(np.argmax(unit.reshape(-1, 3)[:, 2]))
-            ti, pi = np.unravel_index(i, unit.shape[:2])
-            w = np.sqrt(p.p_s_max) * np.array(
-                [np.cos(grid_t[ti]), np.sin(grid_t[ti]) * np.exp(1j * grid_p[pi])]
-            )
-            return _oracle_result(w, ch, p, p.p_s_max, jd=True, feasible=False)
-        # Zoom the angular window at the winning power and its neighbors;
-        # the power axis itself stays on the shared grid.
-        ti, pi = np.unravel_index(i, unit.shape[:2])
-        best = (val, float(grid_t[ti]), float(grid_p[pi]), k)
-        d_theta = grid_t[1] - grid_t[0]
-        d_phi = grid_p[1] - grid_p[0]
-        for kk in range(max(0, k - 1), min(n_power, k + 2)):
-            cand = _angular_zoom(
-                ch, score_at(powers[kk]), (best[0], best[1], best[2]),
-                d_theta, d_phi,
-            )
-            if cand[0] > best[0]:
-                best = (cand[0], cand[1], cand[2], kk)
-        w = np.sqrt(powers[best[3]]) * np.array(
-            [np.cos(best[1]), np.sin(best[1]) * np.exp(1j * best[2])]
-        )
-        return _oracle_result(
-            w, ch, p, float(powers[best[3]]), jd=True, feasible=True
-        )
-    best = (-np.inf, -np.inf, 0, 0)
-    best_w = None
-    for w_chunk, unit in _random_unit_gains(ch, n_random, seed):
-        val, rss, k, i = _jd_power_scan(unit, powers, r_min, ch, p)
-        if (val, rss) > (best[0], best[1]):
-            best = (val, rss, k, i)
-            best_w = np.sqrt(powers[k]) * w_chunk[i]
-    if best_w is None or not np.isfinite(best[0]):
-        return _oracle_result(
-            np.sqrt(p.p_s_max) * ch.h_ss / np.linalg.norm(ch.h_ss), ch, p,
-            p.p_s_max, jd=True, feasible=False,
-        )
-    return _oracle_result(best_w, ch, p, float(powers[best[2]]), jd=True)
+    return _brute_force(ch, p, exact, True, n_theta, n_phi, n_random, seed)

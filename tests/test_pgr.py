@@ -1,7 +1,7 @@
 import io
 import subprocess
 import sys
-from types import SimpleNamespace
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -19,7 +19,8 @@ from leasesec.pgr import (
     power_gains,
     sample_simplex,
 )
-from leasesec.solver import _pool_powers
+from leasesec.rates import r_s_max, required_rate
+from leasesec.solver import _jd_powers, _pool_powers
 
 
 def draw(nt=2, seed=17, trial=0, p_s_max=10.0):
@@ -83,27 +84,69 @@ class TestSampleSimplex:
         assert out.stdout.startswith("raised simplex lattice has 15 points")
 
 
-def s2_powers(lam, nt=2):
-    """Candidate powers of the S2 pool's lambda-sign rule for one row."""
-    ch, p = draw(nt=nt)
-    powers, rows = _pool_powers(SimpleNamespace(lam=np.array([lam])), "S2", ch, p, 0.0)
-    assert np.all(rows == 0)
-    return powers
+def pool_powers_panel():
+    """(sweep, pool, ch, p, r_mins, powers, rows) for the S2 and S3 pools at
+    n_t 2-4, 0 and 30 dB, under one, two and four QoS bounds."""
+    out = []
+    for nt in (2, 3, 4):
+        ch, _ = draw(nt=nt, seed=23, trial=nt)
+        for snr_db in (0.0, 30.0):
+            p = SystemParams.from_snr_db(snr_db, 0.0, nt)
+            for alphas in ((0.0,), (0.5, 0.8), (0.0, 0.5, 0.8, 1.0)):
+                r_mins = tuple(required_rate(ch, replace(p, alpha=a)) for a in alphas)
+                for pool, e, k in (("S2", DIRECTION_SUPPRESS_PRIMARY_AND_EVE, 3),
+                                   ("S3", DIRECTION_TWO_TERM, 2)):
+                    sweep = boundary_sweep(sample_simplex(k, 12), e, ch)
+                    powers, rows = _pool_powers(sweep, pool, ch, p, r_mins)
+                    out.append((sweep, pool, ch, p, r_mins, powers, rows))
+    return out
 
 
 class TestAdmissiblePowers:
-    def test_positive_eigenvalue(self):
-        npt.assert_allclose(s2_powers(0.5), [10.0])
+    """The free-power pools give every row the budget plus each distinct
+    exact best power under the call's QoS bounds."""
 
-    def test_zero_eigenvalue_interval(self):
-        levels = s2_powers(0.0)
-        assert levels[0] == 0.0 and levels[-1] == 10.0 and len(levels) == 64
+    def test_budget_first_for_every_row(self):
+        for sweep, _, _, p, _, powers, rows in pool_powers_panel():
+            L = len(sweep.mu)
+            assert np.array_equal(rows[:L], np.arange(L))
+            assert np.all(powers[:L] == p.p_s_max)
+            assert np.all(powers[L:] != p.p_s_max)
 
-    def test_negative_eigenvalue(self):
-        npt.assert_allclose(s2_powers(-0.1), [0.0])
+    def test_at_most_one_power_per_bound_beyond_the_budget(self):
+        for sweep, _, _, _, r_mins, powers, rows in pool_powers_panel():
+            counts = np.bincount(rows, minlength=len(sweep.mu))
+            assert counts.max() <= 1 + len(r_mins)
+            for r in np.flatnonzero(counts > 1):
+                assert len(set(powers[rows == r].tolist())) == counts[r]
 
-    def test_enough_antennas_forces_full(self):
-        npt.assert_allclose(s2_powers(-0.1, nt=3), [10.0])
+    def test_powers_within_budget_are_the_rule_s(self):
+        extra = 0
+        for sweep, _, ch, p, r_mins, powers, rows in pool_powers_panel():
+            assert np.all((powers >= 0.0) & (powers <= p.p_s_max))
+            best = _jd_powers(sweep.unit_gains, r_mins, ch, p)
+            L = len(sweep.mu)
+            for r, power in zip(rows[L:], powers[L:]):
+                assert power in best[r]
+            extra += len(rows) - L
+        assert extra > 0  # partial powers do occur on this panel
+
+    def test_budget_alone_where_it_is_every_best_power(self):
+        for sweep, _, ch, p, r_mins, powers, rows in pool_powers_panel():
+            best = _jd_powers(sweep.unit_gains, r_mins, ch, p)
+            only_budget = np.all((best == p.p_s_max) | np.isnan(best), axis=1)
+            counts = np.bincount(rows, minlength=len(sweep.mu))
+            assert np.all(counts[only_budget] == 1)
+
+    def test_s1_uses_the_power_levels(self):
+        ch, p = draw(nt=3)
+        sweep = boundary_sweep(sample_simplex(3, 4), DIRECTION_SUPPRESS_PRIMARY, ch)
+        L = len(sweep.mu)
+        powers, rows = _pool_powers(sweep, "S1", ch, p, (0.0,))
+        assert np.all(powers == p.p_s_max) and np.array_equal(rows, np.arange(L))
+        powers, rows = _pool_powers(sweep, "S1", ch, p, (0.0,), [1.0, 2.0])
+        assert np.array_equal(powers, np.tile([1.0, 2.0], L))
+        assert np.array_equal(rows, np.repeat(np.arange(L), 2))
 
 
 class TestBoundaryBeamformer:
@@ -197,9 +240,13 @@ class TestBoundarySweep:
         ch, p = draw(nt=3, trial=9)
         sweep = boundary_sweep(sample_simplex(3, 20), DIRECTION_SUPPRESS_PRIMARY, ch)
         assert np.all(sweep.lam >= -1e-12)
-        powers, rows = _pool_powers(sweep, "S2", ch, p, 0.0)
-        assert np.all(powers == p.p_s_max)
-        assert np.array_equal(rows, np.arange(len(sweep.mu)))
+        L = len(sweep.mu)
+        r_mins = (0.0, 0.5 * r_s_max(ch, p))
+        powers, rows = _pool_powers(sweep, "S2", ch, p, r_mins)
+        assert np.all(powers[:L] == p.p_s_max)
+        assert np.array_equal(rows[:L], np.arange(L))
+        assert np.all((powers[L:] >= 0.0) & (powers[L:] < p.p_s_max))
+        assert np.bincount(rows, minlength=L).max() <= 1 + len(r_mins)
 
     def test_boundary_dominance_random_oracle(self):
         # no random feasible beamformer may dominate a boundary point in

@@ -1,4 +1,4 @@
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -192,6 +192,24 @@ class TestSolveCell:
                 assert vals[0] >= vals[1] - 1e-9
                 assert vals[1] >= vals[2] - 1e-9
 
+    @pytest.mark.parametrize("nt", [2, 3, 4, 5])
+    def test_monotone_in_alpha_and_jd_at_most_sd(self, nt):
+        # The free-power pools emit each row's exact best power under every
+        # alpha of the call, so all cells still share one candidate set.
+        alphas = (0.0, 0.3, 0.5, 0.8, 1.0)
+        for trial in range(3):
+            for snr_db in (0.0, 10.0, 30.0):
+                ch, p = draw(nt=nt, snr_db=snr_db, alpha=0.0, trial=trial, seed=88)
+                cell = solve_cell(ch, p, alphas)
+                for dec in ("SD", "JD"):
+                    vals = [cell[(dec, a)].secrecy_bits for a in alphas]
+                    assert all(x >= y - 1e-9 for x, y in zip(vals, vals[1:])), (dec, vals)
+                for a in alphas:
+                    where = (trial, snr_db, a)
+                    assert cell[("JD", a)].secrecy_bits <= cell[("SD", a)].secrecy_bits + 1e-9, where
+                    r_min = required_rate(ch, replace(p, alpha=a))
+                    assert cell[("JD", a)].secondary_bits >= r_min - solver_mod.RATE_SLACK
+
     def test_matches_direct_solvers_closely(self):
         ch, p = draw(nt=2, snr_db=10.0, alpha=0.5, trial=5)
         cell = solve_cell(ch, p, (0.5,))
@@ -246,10 +264,10 @@ def reference_batches(ch, base, alphas, pools, sweeps, seeds, rounds, levels=Non
     batches are scored again for every alpha and pool."""
     out = []
     slack = solver_mod.RATE_SLACK
+    r_mins = tuple(required_rate(ch, replace(base, alpha=a)) for a in alphas)
 
-    def evaluate(pool, sweep, spacing):
-        band = solver_mod.INTERVAL_BAND * spacing
-        powers, rows = solver_mod._pool_powers(sweep, FAMILY[sweep.e], ch, base, band,
+    def evaluate(pool, sweep):
+        powers, rows = solver_mod._pool_powers(sweep, FAMILY[sweep.e], ch, base, r_mins,
                                                levels)
         out.append((pool, sweep, powers, rows))
         rss, values, g_se = reference_scores(sweep, powers, rows, ch, base)
@@ -262,7 +280,7 @@ def reference_batches(ch, base, alphas, pools, sweeps, seeds, rounds, levels=Non
             family = "S1" if pool == "SD" else pool
             coarse = sweeps.sweep(family)
             spacing = 1.0 / (4 * sweeps.m if family == "S3" else sweeps.m)
-            _, rows, rss, value, relaxed = evaluate(pool, coarse, spacing)
+            _, rows, rss, value, relaxed = evaluate(pool, coarse)
             keep = relaxed & (rss >= r_min - slack)
             starts = [(mu, False) for mu in seed_rows_reference(
                 coarse.mu, rows, value, rss, keep, spacing, seeds)]
@@ -276,7 +294,7 @@ def reference_batches(ch, base, alphas, pools, sweeps, seeds, rounds, levels=Non
                     for _ in range(solver_mod.MAX_WALK_MOVES):
                         sweep = boundary_sweep(solver_mod._local_simplex(mu, spc),
                                                coarse.e, ch)
-                        _, rows, rss, value, relaxed = evaluate(pool, sweep, fine)
+                        _, rows, rss, value, relaxed = evaluate(pool, sweep)
                         if not use_relaxed:
                             relaxed &= rss >= r_min - slack
                         i = reference_pick(value, rss, relaxed)
@@ -533,13 +551,16 @@ class TestBruteForce:
 
     def test_interior_power_sometimes_optimal(self):
         # the joint decoder occasionally makes partial transmit power
-        # strictly better, which is why the oracle needs a power axis
+        # strictly better than the budget along the same direction, which
+        # is why the oracle scores each direction at its best power
         hits = 0
         for trial in range(40):
             ch, p = draw(trial=trial, alpha=0.0, seed=31)
             res = brute_force_jd(ch, p)
-            if res.feasible and res.power < p.p_s_max - 1e-9:
-                hits += 1
+            if res.feasible and 0.0 < res.power < p.p_s_max - 1e-9:
+                full = res.w * np.sqrt(p.p_s_max / res.power)
+                if secrecy_rate_jd(full, ch, p)[0] < res.secrecy_bits - 1e-9:
+                    hits += 1
         assert hits > 0
 
     def test_random_direction_mode_for_three_antennas(self):
@@ -567,47 +588,60 @@ def reference_power_scan(unit_gains, powers, r_min, ch, p):
     return best
 
 
+def exact_power_scan(unit_gains, r_min, ch, p):
+    """The best joint-decoding value over the same points, each scored at
+    its exact power from _jd_powers; -inf if no point meets the bound."""
+    flat = unit_gains.reshape(-1, 3)
+    power = solver_mod._jd_powers(flat, (r_min,), ch, p)[:, 0]
+    ok = ~np.isnan(power)
+    if not ok.any():
+        return -np.inf
+    g = flat[ok] * power[ok, None]
+    return float(np.max(jd_secrecy_from_gains(g[:, 0], g[:, 1], g[:, 2], ch, p)[0]))
+
+
 class TestBruteForceJdParity:
-    """brute_force_jd against the same oracle driven by the full-grid
-    reference scan: every OptResult field equal, w bit for bit, and every
-    scan result equal wherever the reference found a feasible point."""
+    """brute_force_jd, which scores each direction at its exact power, against
+    the 64-point power grid over the same directions (the oracle's grid for
+    two antennas, its random directions otherwise): the exact scan and the
+    oracle never fall below the grid's best, both find a feasible point
+    exactly when the grid does, and the fallback covers the rest."""
 
-    SCAN = staticmethod(solver_mod._jd_power_scan)
+    GRID_POWERS = 64
 
-    @staticmethod
-    def run(monkeypatch, scan, ch, p, **grid):
-        seen = []
+    def check(self, ch, p, n_theta=401, n_phi=800, n_random=None):
+        """Asserts the one-sided bounds; returns the oracle's feasible flag."""
+        r_min = required_rate(ch, p)
+        if ch.n_t == 2:
+            grid_t = np.linspace(0.0, np.pi / 2.0, n_theta)
+            grid_p = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
+            units = [solver_mod._angular_gain_window(ch, grid_t, grid_p)]
+            got = brute_force_jd(ch, p, n_theta=n_theta, n_phi=n_phi)
+        else:
+            units = [u for _, u in solver_mod._random_unit_gains(ch, n_random, 0)]
+            got = brute_force_jd(ch, p, n_random=n_random)
+        powers = np.linspace(0.0, p.p_s_max, self.GRID_POWERS)
+        grid = max(reference_power_scan(u, powers, r_min, ch, p)[0] for u in units)
+        exact = max(exact_power_scan(u, r_min, ch, p) for u in units)
+        assert got.feasible == np.isfinite(grid) == np.isfinite(exact)
+        if got.feasible:
+            assert exact >= grid - 1e-12
+            assert got.secrecy_bits >= exact - 1e-12
+            assert got.secondary_bits >= r_min - solver_mod.RATE_SLACK
+            assert 0.0 <= got.power <= p.p_s_max
+            assert np.linalg.norm(got.w) ** 2 == pytest.approx(got.power, rel=1e-12)
+        return got.feasible
 
-        def recording(*args):
-            seen.append(scan(*args))
-            return seen[-1]
-
-        monkeypatch.setattr(solver_mod, "_jd_power_scan", recording)
-        return brute_force_jd(ch, p, **grid), seen
-
-    def check(self, monkeypatch, ch, p, **grid):
-        """Asserts parity; returns the oracle's feasible flag."""
-        got, got_scans = self.run(monkeypatch, self.SCAN, ch, p, **grid)
-        want, want_scans = self.run(monkeypatch, reference_power_scan, ch, p, **grid)
-        assert got.w.tobytes() == want.w.tobytes()
-        for f in fields(want):
-            if f.name != "w":
-                assert getattr(got, f.name) == getattr(want, f.name), f.name
-        assert len(got_scans) == len(want_scans)
-        for g, w in zip(got_scans, want_scans):
-            assert g == (w if np.isfinite(w[0]) else (-np.inf, -np.inf, 0, 0))
-        return want.feasible
-
-    def test_two_antennas_reduced_grid(self, monkeypatch):
+    def test_two_antennas_reduced_grid(self):
         feasible = []
         for k, (snr_db, alpha) in enumerate(
             (s, a) for s in (0.0, 10.0, 30.0) for a in (0.0, 0.5, 0.8, 1.0)
         ):
             ch, p = draw(nt=2, snr_db=snr_db, alpha=alpha, seed=1010, trial=k)
-            feasible.append(self.check(monkeypatch, ch, p, n_theta=101, n_phi=200))
+            feasible.append(self.check(ch, p, n_theta=101, n_phi=200))
         assert not all(feasible)  # the all-infeasible fallback is covered
 
-    def test_qos_bound_within_slack_of_best_grid_rate(self, monkeypatch):
+    def test_qos_bound_within_slack_of_best_grid_rate(self):
         # Only the grid points of highest secondary rate meet the QoS bound,
         # and only through RATE_SLACK.
         ch, p = draw(nt=2, snr_db=10.0, alpha=0.0, seed=1010, trial=21)
@@ -616,30 +650,141 @@ class TestBruteForceJdParity:
         top = np.max(solver_mod._angular_gain_window(ch, grid_t, grid_p)[..., 2])
         rss = secondary_rate_from_gain(p.p_s_max * top, ch, p)
         p = replace(p, alpha=(rss + solver_mod.RATE_SLACK / 2) / r_s_max(ch, p))
-        assert self.check(monkeypatch, ch, p, n_theta=101, n_phi=200)
+        assert self.check(ch, p, n_theta=101, n_phi=200)
 
-    def test_two_antennas_default_grid(self, monkeypatch):
+    def test_two_antennas_default_grid(self):
         ch, p = draw(nt=2, snr_db=10.0, alpha=0.5, seed=1010, trial=20)
-        assert self.check(monkeypatch, ch, p)
+        assert self.check(ch, p)
 
     @pytest.mark.parametrize("nt", [3, 4])
-    def test_random_directions(self, monkeypatch, nt):
+    def test_random_directions(self, nt):
         feasible = []
         for k, (snr_db, alpha) in enumerate(((0.0, 0.0), (10.0, 0.5), (30.0, 0.8),
                                              (10.0, 1.0))):
             ch, p = draw(nt=nt, snr_db=snr_db, alpha=alpha, seed=1020, trial=k)
-            feasible.append(self.check(monkeypatch, ch, p, n_random=20000))
+            feasible.append(self.check(ch, p, n_random=20000))
         assert not all(feasible)
 
 
-class TestJdPowerScan:
-    def test_first_index_wins_a_tie_across_blocks(self):
+class TestBruteForceTies:
+    def test_first_direction_wins_a_tie_across_chunks(self, monkeypatch):
+        # Random mode scans its directions chunk by chunk.  Every direction
+        # below is one beam up to a phase, so all tie; the first must win.
         ch, p = draw(nt=3, alpha=0.0, trial=1)
-        block = solver_mod.SCAN_BLOCK
-        _, unit = next(solver_mod._random_unit_gains(ch, block + 64, seed=3))
-        powers = np.linspace(0.0, p.p_s_max, 4)
-        val, rss, k, i = solver_mod._jd_power_scan(unit, powers, 0.0, ch, p)
-        assert val > 0.0  # one point maximizes, no tie at the zero clamp
-        tied = np.delete(unit, i, axis=0)
-        tied[[5, block + 9]] = unit[i]
-        assert solver_mod._jd_power_scan(tied, powers, 0.0, ch, p) == (val, rss, k, 5)
+        w, unit = next(solver_mod._random_unit_gains(ch, 64, seed=3))
+        best = int(np.argmax([secrecy_rate_sd(np.sqrt(p.p_s_max) * x, ch, p) for x in w]))
+        phases = np.exp(1j * np.arange(20.0))[:, None]
+        chunks = [(w[best] * phases[lo:hi], np.repeat(unit[best:best + 1], hi - lo, axis=0))
+                  for lo, hi in ((0, 8), (8, 20))]
+        monkeypatch.setattr(solver_mod, "_random_unit_gains",
+                            lambda *args, **kw: iter(chunks))
+        for oracle in (brute_force_sd, brute_force_jd):
+            res = oracle(ch, p, n_random=20)
+            assert res.feasible and res.power > 0.0, oracle.__name__
+            npt.assert_allclose(res.w, np.sqrt(res.power) * w[best], rtol=0, atol=1e-14,
+                                err_msg=oracle.__name__)
+
+
+class TestOracleArguments:
+    """A grid or sample too small to search is an explicit error."""
+
+    @pytest.mark.parametrize("oracle", [brute_force_sd, brute_force_jd])
+    @pytest.mark.parametrize("grid", [dict(n_theta=1), dict(n_phi=0), dict(n_phi=1)])
+    def test_angular_grid_below_two_points(self, oracle, grid):
+        ch, p = draw(nt=2)
+        with pytest.raises(ValueError):
+            oracle(ch, p, **grid)
+
+    @pytest.mark.parametrize("oracle", [brute_force_sd, brute_force_jd])
+    def test_no_random_directions(self, oracle):
+        ch, p = draw(nt=3)
+        with pytest.raises(ValueError):
+            oracle(ch, p, n_random=0)
+
+
+# (n_t, SNR in dB, trial) of the power-rule panel.  All but one of the
+# first nine channels have rows whose two local maxima in power need the
+# rule's value comparison, and on some of them the lower power wins; the
+# last two have rows whose derivative quadratic opens downward with both
+# roots inside [P_qos, P_max], where only the falling root is a maximum.
+JD_POWERS_PANEL = ((2, 0.0, 16), (2, 10.0, 10), (2, 30.0, 27), (3, 0.0, 4), (3, 10.0, 10),
+                   (3, 30.0, 33), (4, 0.0, 16), (4, 10.0, 10), (4, 30.0, 10), (2, 10.0, 17),
+                   (3, 20.0, 21))
+
+
+def jd_powers_panel():
+    """(ch, p, unit, r_mins) instances: n_t 2-4 at 0 to 30 dB, random
+    directions plus a zero and a tiny g_ss, and bounds at alpha 0, 0.5, 0.8,
+    1.0 plus one within RATE_SLACK of a row's best secondary rate."""
+    out = []
+    for nt, snr_db, trial in JD_POWERS_PANEL:
+        ch, p = draw(nt=nt, snr_db=snr_db, alpha=0.0, seed=308, trial=1000 + trial)
+        rng = np.random.default_rng(trial)
+        w = rng.standard_normal((120, nt)) + 1j * rng.standard_normal((120, nt))
+        w /= np.linalg.norm(w, axis=1, keepdims=True)
+        unit = np.abs(np.conj(w) @ ch.secondary_vectors().T) ** 2
+        unit[0, 2], unit[1, 2] = 0.0, 1e-300
+        r_mins = [required_rate(ch, replace(p, alpha=a)) for a in (0.0, 0.5, 0.8, 1.0)]
+        top = secondary_rate_from_gain(p.p_s_max * unit[2, 2], ch, p)
+        r_mins.append(float(top + solver_mod.RATE_SLACK / 2))
+        out.append((ch, p, unit, tuple(r_mins)))
+    return out
+
+
+class TestJdPowers:
+    """The closed-form power rule against a dense power grid."""
+
+    GRID_POWERS = 2049
+
+    def test_never_below_a_dense_power_grid(self):
+        branches = set()
+        for ch, p, unit, r_mins in jd_powers_panel():
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                best = solver_mod._jd_powers(unit, r_mins, ch, p)
+            grid = np.linspace(0.0, p.p_s_max, self.GRID_POWERS)
+            g = unit[:, None, :] * grid[None, :, None]
+            val, idx = jd_secrecy_from_gains(g[..., 0], g[..., 1], g[..., 2], ch, p)
+            branches |= set(idx[:, -1].tolist())
+            rss = secondary_rate_from_gain(g[..., 2], ch, p)
+            for j, r_min in enumerate(r_mins):
+                feasible = rss >= r_min - solver_mod.RATE_SLACK
+                grid_best = np.where(feasible, val, -np.inf).max(axis=1)
+                ok = ~np.isnan(best[:, j])
+                # nan exactly where even the budget misses the bound
+                assert np.array_equal(ok, feasible[:, -1])
+                power = best[ok, j]
+                assert np.all((0.0 <= power) & (power <= p.p_s_max))
+                gains = unit[ok] * power[:, None]
+                got, _ = jd_secrecy_from_gains(gains[:, 0], gains[:, 1], gains[:, 2], ch, p)
+                assert np.all(secondary_rate_from_gain(gains[:, 2], ch, p)
+                              >= r_min - solver_mod.RATE_SLACK)
+                assert np.all(got >= grid_best[ok] - 1e-12)
+            # g_ss = 0 or nearly: no positive bound can be met
+            assert np.isnan(best[:2, 1:]).all() and not np.isnan(best[:2, 0]).any()
+        assert branches == {0, 1, 2}
+
+    def test_bound_within_slack_of_the_best_rate(self):
+        # Row 2's full-power rate sits RATE_SLACK/2 below the last bound:
+        # the budget is its only feasible power.
+        for ch, p, unit, r_mins in jd_powers_panel():
+            assert solver_mod._jd_powers(unit[2:3], r_mins[-1:], ch, p)[0, 0] == p.p_s_max
+
+    def test_qos_edge_meets_the_bound(self):
+        # A bound that binds puts the power where the rate equals r_min,
+        # not below it.
+        for ch, p, unit, r_mins in jd_powers_panel():
+            best = solver_mod._jd_powers(unit, r_mins, ch, p)
+            for j, r_min in enumerate(r_mins[:-1]):
+                ok = ~np.isnan(best[:, j])
+                rss = secondary_rate_from_gain(best[ok, j] * unit[ok, 2], ch, p)
+                assert np.all(rss >= r_min - 1e-12)
+
+    def test_case_index_does_not_depend_on_power(self):
+        # The rule rests on this: along a direction the branch of the
+        # piecewise rate is the same at every power P > 0.
+        rng = np.random.default_rng(99)
+        for ch, p, unit, _ in jd_powers_panel():
+            powers = p.p_s_max * np.exp(rng.uniform(-12.0, 0.0, 40))
+            g = unit[2:, None, :] * powers[None, :, None]
+            _, idx = jd_secrecy_from_gains(g[..., 0], g[..., 1], g[..., 2], ch, p)
+            assert np.all(idx == idx[:, :1])
