@@ -95,21 +95,18 @@ def _trial_values(cfg: SweepConfig, nt: int, trial_index: int) -> tuple:
     """All cell outputs for one (nt, trial): pure in (master_seed, index).
 
     The channel draw, the boundary sweeps, and (per SNR) the refinement
-    batches are shared across every (decoder, alpha) cell; solve_cell then
-    rescores the shared candidates so cross-cell orderings are exact.
+    batches are shared across every (decoder, alpha) cell; solve_cell folds
+    the shared candidates into every cell so cross-cell orderings are exact.
+    It always solves both decoders, so cfg.decoders picks the rows kept and
+    never changes them.
     """
     base = SystemParams.from_snr_db(0.0, 0.0, nt)
     ch = sample_channels(base, TrialSeed(cfg.master_seed, trial_index))
     sweeps = unit_sweeps(ch, cfg.simplex_resolution)
     out = np.empty((len(cfg.decoders), len(cfg.snr_db_list), len(cfg.alpha_list), _N_OUT))
     for i_s, snr in enumerate(cfg.snr_db_list):
-        cell = solve_cell(
-            ch,
-            SystemParams.from_snr_db(snr, 0.0, nt),
-            cfg.alpha_list,
-            decoders=cfg.decoders,
-            sweeps=sweeps,
-        )
+        cell = solve_cell(ch, SystemParams.from_snr_db(snr, 0.0, nt), cfg.alpha_list,
+                          sweeps=sweeps)
         for i_a, alpha in enumerate(cfg.alpha_list):
             p = SystemParams.from_snr_db(snr, alpha, nt)
             for i_d, dec in enumerate(cfg.decoders):

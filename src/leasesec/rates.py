@@ -124,8 +124,9 @@ def jd_rate_bundle(w: np.ndarray, ch: ChannelSet, p: SystemParams) -> JdRateBund
     )
 
 
-def jd_secrecy_from_gains(gain_sp, gain_se, gain_ss, ch: ChannelSet, p: SystemParams):
-    """Joint-decoding secrecy rate and case index (0, 1, 2) from raw gains.
+def jd_secrecy_from_gains(gain_sp, gain_se, r_ss, ch: ChannelSet, p: SystemParams):
+    """Joint-decoding secrecy rate and case index (0, 1, 2) from the gains
+    at the primary receiver and the eavesdropper and the secondary rate r_ss.
 
     Case 0 applies when the eavesdropper's joint-decoding limit for the
     secondary signal is at or below the secondary rate, case 2 when the
@@ -138,7 +139,6 @@ def jd_secrecy_from_gains(gain_sp, gain_se, gain_ss, ch: ChannelSet, p: SystemPa
     r_pp_sd = np.log2(1.0 + app / (p.sigma2_p + gain_sp))
     r_se_jd = np.log2(1.0 + gain_se / s2e)
     r_se_sd = np.log2(1.0 + gain_se / (s2e + ape))
-    r_ss = secondary_rate_from_gain(gain_ss, ch, p)
     case0 = r_pp_sd - np.log2(1.0 + ape / (s2e + gain_se))
     case1 = r_pp_sd - np.log2(1.0 + (ape + gain_se) / s2e) + r_ss
     case2 = r_pp_sd - np.log2(1.0 + ape / s2e)
@@ -151,7 +151,7 @@ def secrecy_rate_jd(
     w: np.ndarray, ch: ChannelSet, p: SystemParams
 ) -> tuple[float, RegimeLabel]:
     value, idx = jd_secrecy_from_gains(
-        _gain(w, ch.h_sp), _gain(w, ch.h_se), _gain(w, ch.h_ss), ch, p
+        _gain(w, ch.h_sp), _gain(w, ch.h_se), secondary_rate(w, ch, p), ch, p
     )
     return float(value), _JD_CASES[int(idx)]
 

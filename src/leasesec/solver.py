@@ -12,8 +12,8 @@ budget and at its exact best power under each QoS bound of the call.
 One search engine, _search, serves solve_sd, solve_jd and solve_cell: each
 pool runs a coarse simplex lattice first, then walks a shrinking local
 lattice around its best rows a few times, and every batch the walks
-evaluate is scored once and folded into the running winner of every
-requested (decoder, alpha) cell.  The refinement is what pushes the
+evaluate is scored once, for both decoders, and folded into the running
+winner of every (decoder, alpha) cell.  The refinement is what pushes the
 worst-case gap to the continuous optimum below the millibit level, since
 constrained optima sit on QoS or branch boundaries that a fixed lattice
 straddles.  Brute-force oracles maximize the same objectives over dense
@@ -155,6 +155,21 @@ def unit_sweeps(ch: ChannelSet, m: int = DEFAULT_RESOLUTION) -> UnitSweeps:
     )
 
 
+def _stencil(k: int) -> np.ndarray:
+    """Integer moves of a k-weight local lattice: up to +/- REFINE_SPAN *
+    REFINE_FACTOR steps per coordinate, summing to zero."""
+    d = REFINE_SPAN * REFINE_FACTOR
+    steps = np.arange(-d, d + 1)
+    if k == 2:
+        return np.column_stack([steps, -steps])
+    i, j = np.meshgrid(steps, steps, indexing="ij")
+    ok = np.abs(i + j) <= d
+    return np.column_stack([i[ok], j[ok], -(i + j)[ok]])
+
+
+_MOVES = {k: _stencil(k) for k in (2, 3)}
+
+
 def _local_simplex(center: np.ndarray, spacing: float) -> np.ndarray:
     """Weight rows on a finer lattice around center, clipped to the simplex.
 
@@ -162,18 +177,7 @@ def _local_simplex(center: np.ndarray, spacing: float) -> np.ndarray:
     +/- REFINE_SPAN * spacing per coordinate (moves sum to zero, so every
     row still sums to one).
     """
-    k = len(center)
-    h = spacing / REFINE_FACTOR
-    d = REFINE_SPAN * REFINE_FACTOR
-    steps = np.arange(-d, d + 1)
-    if k == 3:
-        i, j = np.meshgrid(steps, steps, indexing="ij")
-        l = -(i + j)
-        ok = np.abs(l) <= d
-        moves = np.column_stack([i[ok], j[ok], l[ok]])
-    else:
-        moves = np.column_stack([steps, -steps])
-    rows = center[None, :] + h * moves
+    rows = center[None, :] + spacing / REFINE_FACTOR * _MOVES[len(center)]
     rows = rows[np.all(rows >= -1e-12, axis=1)]
     rows = np.clip(rows, 0.0, None)
     return rows / rows.sum(axis=1, keepdims=True)
@@ -222,9 +226,8 @@ class _Best:
 
 def _in_branch(pool: str, g_se, rss, ch: ChannelSet, p: SystemParams):
     """The pool's branch condition of the piecewise joint-decoding rate,
-    closed at both ends so boundary points stay in both adjacent pools.
-
-    The single-user pool SD has no branch."""
+    closed at both ends so boundary points stay in both adjacent pools
+    (all True for the single-user pool SD, which has no branch)."""
     if pool == "SD":
         return np.ones(rss.shape, dtype=bool)
     s2e = p.sigma2_e
@@ -296,7 +299,8 @@ def _jd_powers(unit: np.ndarray, r_mins, ch: ChannelSet, p: SystemParams) -> np.
     j, i = np.nonzero(ok & (small < large))
     if i.size:
         g = unit[np.concatenate([i, i])] * np.concatenate([small[j, i], large[j, i]])[:, None]
-        value, _ = jd_secrecy_from_gains(g[:, 0], g[:, 1], g[:, 2], ch, p)
+        rss = secondary_rate_from_gain(g[:, 2], ch, p)
+        value, _ = jd_secrecy_from_gains(g[:, 0], g[:, 1], rss, ch, p)
         large[j, i] = np.where(value[i.size:] >= value[:i.size], large[j, i], small[j, i])
     return np.where(ok, large, np.nan).T
 
@@ -321,59 +325,56 @@ def _pool_powers(sweep: SweepResult, pool: str, ch, p, r_mins, levels=None):
             np.concatenate([np.arange(L), rows]))
 
 
-def _search(ch, base, alphas, decoders, sweeps, seeds, rounds, levels=None) -> dict:
+def _search(ch, base, alphas, pools, sweeps, seeds, rounds, levels=None) -> dict:
     """Walk-and-fold search for the (decoder, alpha) cells of one channel draw.
 
-    For each alpha, each pool of the decoders (SD: the single-user rate on
-    the S1 family; S1, S2 and S3: the joint-decoding rate on their own
-    families, under their branch conditions) walks for `rounds` rounds
-    from up to `seeds` well-separated feasible coarse rows.  When the QoS
-    bound cuts the pool, one more walk starts from the QoS-relaxed winner:
-    a constrained optimum often hugs the QoS boundary near the
-    unconstrained maximum rather than near the best feasible lattice row.
+    For each alpha, each of the pools (SD: the single-user rate on the S1
+    family; S1, S2 and S3: the joint-decoding rate on their own families,
+    under their branch conditions) walks for `rounds` rounds from up to
+    `seeds` well-separated feasible coarse rows.  When the QoS bound cuts
+    the pool, one more walk starts from the QoS-relaxed winner: a
+    constrained optimum often hugs the QoS boundary near the unconstrained
+    maximum rather than near the best feasible lattice row.
 
     Each batch (a sweep under _pool_powers, which gives the free-power
-    families every alpha's exact power) is scored the first time it is
-    seen and folded, in first-seen order, into every cell's running winner
-    under that cell's QoS mask alone; secrecy and the secondary rate do not
-    depend on alpha.  The walks share one memo of refined lattices and
-    their scored batches; a walk batch seen again steers the walk but is
-    not folded again.  Returns {(decoder, alpha): OptResult}.
+    families every alpha's exact power) is scored for both decoders the
+    first time it is seen and folded, in first-seen order, into every
+    (decoder, alpha) cell's running winner under that cell's QoS mask
+    alone; secrecy and the secondary rate do not depend on alpha.  The
+    pools choose only which batches are seen.  The walks share one memo of
+    refined lattices and their scored batches; a walk batch seen again
+    steers the walk but is not folded again.  Returns {(decoder, alpha):
+    OptResult} for both decoders.
     """
     alphas = tuple(alphas)
     r_mins = {a: required_rate(ch, replace(base, alpha=a)) for a in alphas}
-    bests = {(dec, a): _Best() for a in alphas for dec in decoders}
-    pools = (("SD",) if "SD" in decoders else ()) + (_POOLS if "JD" in decoders else ())
+    bests = {(dec, a): _Best() for a in alphas for dec in ("SD", "JD")}
     memo: dict = {}  # (lattice bytes, direction) -> (walk sweep, its batch)
     coarse: dict = {}  # family -> its scored coarse batch
 
     def score(sweep):
-        """(powers, rows, g_se, rss, {decoder: value}) of one batch."""
+        """(powers, rows, rss, {decoder: value}, g_se, {pool: in-branch mask})."""
         powers, rows = _pool_powers(sweep, _FAMILIES[sweep.e], ch, base,
                                     tuple(r_mins.values()), levels)
         gains = sweep.unit_gains[rows] * powers[:, None]
-        values = {}
-        if "SD" in decoders:
-            values["SD"] = sd_secrecy_from_gains(gains[:, 0], gains[:, 1], ch, base)
-        if "JD" in decoders:
-            values["JD"], _ = jd_secrecy_from_gains(
-                gains[:, 0], gains[:, 1], gains[:, 2], ch, base
-            )
         rss = secondary_rate_from_gain(gains[:, 2], ch, base)
-        return powers, rows, gains[:, 1], rss, values
+        values = {"SD": sd_secrecy_from_gains(gains[:, 0], gains[:, 1], ch, base),
+                  "JD": jd_secrecy_from_gains(gains[:, 0], gains[:, 1], rss, ch, base)[0]}
+        return powers, rows, rss, values, gains[:, 1], {}
 
     def fold(sweep, batch):
-        powers, rows, _, rss, values = batch
+        powers, rows, rss, values, _, _ = batch
         keeps = {a: rss >= r_min - RATE_SLACK for a, r_min in r_mins.items()}
         for (dec, a), best in bests.items():
             best.consider(values[dec], rss, powers, rows, keeps[a], sweep)
 
     def steer(pool, batch, r_min):
-        """(value, keep, keep_relaxed) that a pool's walk follows."""
-        _, _, g_se, rss, values = batch
-        relaxed = _in_branch(pool, g_se, rss, ch, base)
+        """(value, keep, keep_relaxed) that a pool's walk follows; caches its mask."""
+        _, _, rss, values, g_se, branch = batch
+        if pool not in branch:
+            branch[pool] = _in_branch(pool, g_se, rss, ch, base)
         value = values["SD" if pool == "SD" else "JD"]
-        return value, relaxed & (rss >= r_min - RATE_SLACK), relaxed
+        return value, branch[pool] & (rss >= r_min - RATE_SLACK), branch[pool]
 
     def walk(pool, e, mu, spacing, r_min, use_relaxed):
         """Refine around one seed, recentring on the walk's own winner."""
@@ -389,7 +390,7 @@ def _search(ch, base, alphas, decoders, sweeps, seeds, rounds, levels=None) -> d
                     fold(*memo[key])
                 sweep, batch = memo[key]
                 value, keep, relaxed = steer(pool, batch, r_min)
-                powers, rows, _, rss, _ = batch
+                powers, rows, rss = batch[:3]
                 if not center.consider(value, rss, powers, rows,
                                        relaxed if use_relaxed else keep, sweep):
                     break
@@ -405,7 +406,7 @@ def _search(ch, base, alphas, decoders, sweeps, seeds, rounds, levels=None) -> d
             if family not in coarse:
                 coarse[family] = score(top)
                 fold(top, coarse[family])
-            _, rows, _, rss, _ = batch = coarse[family]
+            _, rows, rss, *_ = batch = coarse[family]
             value, keep, relaxed = steer(pool, batch, r_min)
             for mu in _seed_rows(top.mu, rows, value, rss, keep, spacing, seeds):
                 walk(pool, top.e, mu, spacing, r_min, False)
@@ -504,7 +505,7 @@ def solve_jd(
     """
     if sweeps is None:
         sweeps = unit_sweeps(ch)
-    cells = _search(ch, p, (p.alpha,), ("JD",), sweeps, NUM_SEEDS, REFINE_ROUNDS)
+    cells = _search(ch, p, (p.alpha,), _POOLS, sweeps, NUM_SEEDS, REFINE_ROUNDS)
     return cells[("JD", p.alpha)]
 
 
@@ -512,24 +513,23 @@ def solve_cell(
     ch: ChannelSet,
     base: SystemParams,
     alphas,
-    decoders=("SD", "JD"),
     sweeps: UnitSweeps | None = None,
 ) -> dict:
-    """Solve every (decoder, alpha) cell of one channel draw coherently.
+    """Solve both decoders' cells at every alpha of one channel draw coherently.
 
-    All cells take their answer from one shared candidate set: the coarse
-    sweeps plus every refined lattice that any cell's walk visited.  So the
-    joint-decoding value never exceeds the single-user value and raising
-    alpha never raises either: each answer is an argmax over the same
-    candidates under nested feasibility filters and pointwise ordered
-    objectives; the free-power pools emit each direction's exact power
-    under every alpha of the call, so the set does not depend on the cell.
-    The walks are shorter than those of solve_sd and solve_jd.
+    Every pool walks (SD, S1, S2, S3), and all cells take their answer from
+    one candidate set: the coarse sweeps plus every refined lattice that
+    any walk visited.  So the joint-decoding value never exceeds the
+    single-user value and raising alpha never raises either: each answer is
+    an argmax over the same candidates (the free-power pools emit every
+    alpha's exact power) under nested QoS filters and pointwise ordered
+    objectives.  The walks are shorter than those of solve_sd and solve_jd.
     Returns {(decoder, alpha): OptResult}.
     """
     if sweeps is None:
         sweeps = unit_sweeps(ch)
-    return _search(ch, base, alphas, decoders, sweeps, CELL_WALK_SEEDS, CELL_WALK_ROUNDS)
+    return _search(ch, base, alphas, ("SD",) + _POOLS, sweeps, CELL_WALK_SEEDS,
+                   CELL_WALK_ROUNDS)
 
 
 # Angular zoom for the two-antenna oracles: recenter a finer (theta, phi)
@@ -711,7 +711,8 @@ def brute_force_jd(
             power[lo:lo + SCAN_BLOCK] = best = _jd_powers(block, (r_min,), ch, p)[:, 0]
             ok = np.flatnonzero(~np.isnan(best))
             g = block[ok] * best[ok, None]
-            value[lo + ok], _ = jd_secrecy_from_gains(g[:, 0], g[:, 1], g[:, 2], ch, p)
+            rss = secondary_rate_from_gain(g[:, 2], ch, p)
+            value[lo + ok], _ = jd_secrecy_from_gains(g[:, 0], g[:, 1], rss, ch, p)
         return value.reshape(unit.shape[:-1]), power.reshape(unit.shape[:-1])
 
     return _brute_force(ch, p, exact, True, n_theta, n_phi, n_random, seed)

@@ -286,6 +286,8 @@ def run_validation(
     rng = np.random.Generator(np.random.PCG64(seed))
     if instances is None:
         instances = 20 if quick else 50
+    if instances < 1:
+        raise ValueError(f"instances must be >= 1, got {instances}")
     if inject == "flip-eve-sign":
         # Fault injection only needs to show the spot checks notice.
         with np.errstate(invalid="ignore", divide="ignore"):

@@ -191,6 +191,13 @@ class TestCommands:
         assert code == 2
         assert "config error: workers must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("instances", ["0", "-3"])
+    def test_validate_instances_below_one_is_an_error(self, instances, capsys):
+        assert main(["validate", "--quick", "--instances", instances]) == 2
+        captured = capsys.readouterr()
+        assert "instances must be >= 1" in captured.err
+        assert captured.out == ""
+
     def test_repeated_sweep_values_are_config_error(self, capsys):
         code = main(["sweep-snr", "--decoder", "SD", "--nt", "2", "2", "--snr-db", "0", "0",
                      "--alpha", "0.5", "0.5", "--trials", "2", "--seed", "1", "--out", "-"])
@@ -244,11 +251,15 @@ GOLDEN_SHA256 = {
         "56d6a6e09422f616030277cfde973a925a7a3a26f8f59a69f6c94f2bfb0e09fe",
     ("single", "--seed", "11001", "--trial", "0", "--nt", "3"):
         "a7226bd9e53503720b97d7c708446e38c034536bf2ead6737925c14ffed40987",
-    # Single-decoder sweeps: a sweep's answers still depend on which
-    # decoders it runs, so these two pin that behaviour until it changes.
+    # Single-decoder sweeps.  Every sweep solves both decoders on one
+    # candidate set, so --decoder only picks the rows printed.  The SD hash
+    # changed when the SD-only sweep stopped skipping the joint-decoding
+    # pools' walks: one cell (n_t 3, 20 dB, alpha 0) now takes the same
+    # point from a lattice those walks visit, and its mean secondary rate
+    # moved by 2.2e-16.
     ("sweep-snr", "--decoder", "SD", "--nt", "2", "3", "--trials", "2", "--seed", "7",
      "--snr-db", "0", "20", "--alpha", "0", "0.5"):
-        "ff34d81cd188f711de209b28cbb0ded97a59555e6c4d0eaf26e95a64fd60f5d9",
+        "d2221b383c3be14cc40cb7dc315ccd952c811c12ecd8a83f496921b0c48ced57",
     ("sweep-snr", "--decoder", "JD", "--nt", "2", "3", "--trials", "2", "--seed", "7",
      "--snr-db", "0", "20", "--alpha", "0", "0.5"):
         "eda21954249420a9c8a1879f0d64d18d90013c3656a68bdc9bdae595cdfb38f1",
@@ -275,3 +286,12 @@ class TestGoldenBytes:
             assert main(list(argv)) == 0
             got[argv] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert got == GOLDEN_SHA256
+
+    def test_single_decoder_rows_are_the_both_rows(self, capsys):
+        argv = list(next(iter(GOLDEN_SHA256)))
+        assert main(argv) == 0
+        both = capsys.readouterr().out.splitlines()
+        for dec in ("SD", "JD"):
+            assert main(argv[:1] + ["--decoder", dec] + argv[1:]) == 0
+            want = both[:1] + [line for line in both[1:] if line.startswith(dec + ",")]
+            assert capsys.readouterr().out.splitlines() == want, dec

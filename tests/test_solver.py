@@ -231,8 +231,8 @@ def reference_scores(sweep, powers, rows, ch, p):
     """(rss, {decoder: value}, g_se) of one batch."""
     gains = sweep.unit_gains[rows] * powers[:, None]
     sd = sd_secrecy_from_gains(gains[:, 0], gains[:, 1], ch, p)
-    jd, _ = jd_secrecy_from_gains(gains[:, 0], gains[:, 1], gains[:, 2], ch, p)
     rss = secondary_rate_from_gain(gains[:, 2], ch, p)
+    jd, _ = jd_secrecy_from_gains(gains[:, 0], gains[:, 1], rss, ch, p)
     return rss, {"SD": sd, "JD": jd}, gains[:, 1]
 
 
@@ -372,17 +372,14 @@ class TestSolveCellParity:
         sweeps = unit_sweeps(ch)
         for snr_db in (0.0, 20.0):
             p = SystemParams.from_snr_db(snr_db, 0.0, nt)
-            for decoders in (("SD",), ("JD",), ("SD", "JD")):
-                cell = solve_cell(ch, p, self.ALPHAS, decoders=decoders, sweeps=sweeps)
-                pools = (("SD",) if "SD" in decoders else ()) + (
-                    ("S1", "S2", "S3") if "JD" in decoders else ())
-                batches = reference_batches(ch, p, self.ALPHAS, pools, sweeps,
-                                            solver_mod.CELL_WALK_SEEDS,
-                                            solver_mod.CELL_WALK_ROUNDS)
-                ref = reference_cells(ch, p, self.ALPHAS, decoders, batches)
-                assert list(cell) == list(ref)
-                for key, want in ref.items():
-                    assert_same_result(cell[key], want, (snr_db, key))
+            cell = solve_cell(ch, p, self.ALPHAS, sweeps=sweeps)
+            batches = reference_batches(ch, p, self.ALPHAS, ("SD", "S1", "S2", "S3"),
+                                        sweeps, solver_mod.CELL_WALK_SEEDS,
+                                        solver_mod.CELL_WALK_ROUNDS)
+            ref = reference_cells(ch, p, self.ALPHAS, ("SD", "JD"), batches)
+            assert list(cell) == list(ref)
+            for key, want in ref.items():
+                assert_same_result(cell[key], want, (snr_db, key))
 
     @pytest.mark.parametrize("nt", [2, 3, 5])
     def test_solve_sd_and_jd_match_reference(self, nt):
@@ -579,7 +576,7 @@ def reference_power_scan(unit_gains, powers, r_min, ch, p):
     for k, power in enumerate(powers):
         g = power * flat
         rss = secondary_rate_from_gain(g[:, 2], ch, p)
-        val, _ = jd_secrecy_from_gains(g[:, 0], g[:, 1], g[:, 2], ch, p)
+        val, _ = jd_secrecy_from_gains(g[:, 0], g[:, 1], rss, ch, p)
         val = np.where(rss >= r_min - solver_mod.RATE_SLACK, val, -np.inf)
         i = int(np.argmax(val))
         cand = (float(val[i]), float(rss[i]), k, i)
@@ -597,7 +594,8 @@ def exact_power_scan(unit_gains, r_min, ch, p):
     if not ok.any():
         return -np.inf
     g = flat[ok] * power[ok, None]
-    return float(np.max(jd_secrecy_from_gains(g[:, 0], g[:, 1], g[:, 2], ch, p)[0]))
+    rss = secondary_rate_from_gain(g[:, 2], ch, p)
+    return float(np.max(jd_secrecy_from_gains(g[:, 0], g[:, 1], rss, ch, p)[0]))
 
 
 class TestBruteForceJdParity:
@@ -743,9 +741,9 @@ class TestJdPowers:
                 best = solver_mod._jd_powers(unit, r_mins, ch, p)
             grid = np.linspace(0.0, p.p_s_max, self.GRID_POWERS)
             g = unit[:, None, :] * grid[None, :, None]
-            val, idx = jd_secrecy_from_gains(g[..., 0], g[..., 1], g[..., 2], ch, p)
-            branches |= set(idx[:, -1].tolist())
             rss = secondary_rate_from_gain(g[..., 2], ch, p)
+            val, idx = jd_secrecy_from_gains(g[..., 0], g[..., 1], rss, ch, p)
+            branches |= set(idx[:, -1].tolist())
             for j, r_min in enumerate(r_mins):
                 feasible = rss >= r_min - solver_mod.RATE_SLACK
                 grid_best = np.where(feasible, val, -np.inf).max(axis=1)
@@ -755,9 +753,9 @@ class TestJdPowers:
                 power = best[ok, j]
                 assert np.all((0.0 <= power) & (power <= p.p_s_max))
                 gains = unit[ok] * power[:, None]
-                got, _ = jd_secrecy_from_gains(gains[:, 0], gains[:, 1], gains[:, 2], ch, p)
-                assert np.all(secondary_rate_from_gain(gains[:, 2], ch, p)
-                              >= r_min - solver_mod.RATE_SLACK)
+                got_rss = secondary_rate_from_gain(gains[:, 2], ch, p)
+                got, _ = jd_secrecy_from_gains(gains[:, 0], gains[:, 1], got_rss, ch, p)
+                assert np.all(got_rss >= r_min - solver_mod.RATE_SLACK)
                 assert np.all(got >= grid_best[ok] - 1e-12)
             # g_ss = 0 or nearly: no positive bound can be met
             assert np.isnan(best[:2, 1:]).all() and not np.isnan(best[:2, 0]).any()
@@ -786,5 +784,6 @@ class TestJdPowers:
         for ch, p, unit, _ in jd_powers_panel():
             powers = p.p_s_max * np.exp(rng.uniform(-12.0, 0.0, 40))
             g = unit[2:, None, :] * powers[None, :, None]
-            _, idx = jd_secrecy_from_gains(g[..., 0], g[..., 1], g[..., 2], ch, p)
+            rss = secondary_rate_from_gain(g[..., 2], ch, p)
+            _, idx = jd_secrecy_from_gains(g[..., 0], g[..., 1], rss, ch, p)
             assert np.all(idx == idx[:, :1])
