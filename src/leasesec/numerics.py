@@ -5,7 +5,7 @@ three terms.  pgr.boundary_sweep solves their eigenproblems in the span of
 the h_k and accounts for the zero eigenvalue of the orthogonal complement
 separately, so the cost does not depend on the ambient dimension.  A span
 of dimension <= 2 goes to jacobi_eigh, one exact Jacobi rotation with no
-iteration; a 3-dimensional span goes to LAPACK (numpy.linalg.eigh).
+iteration; a 3-dimensional span goes to top_eigpair3's closed form.
 """
 
 from __future__ import annotations
@@ -28,6 +28,9 @@ TIE_TOL = 1e-12
 # group; the returned eigenvector is canonicalized inside the group so that
 # rounding noise cannot swing it around the subspace.
 TIE_GROUP_TOL = 1e-11
+# Top-two eigenvalue gap, relative to |S|, below which top_eigpair3 hands a
+# row to LAPACK; its cross-product eigenvector has residual ~ eps |S|^2 / gap.
+CLOSED_FORM_GAP_TOL = 1e-3
 
 
 def inner(a: np.ndarray, b: np.ndarray) -> complex:
@@ -148,6 +151,47 @@ def canonical_top_coords(vals: np.ndarray, vecs: np.ndarray, scale: np.ndarray):
         use = multi & (norms > 1e-8)
         coords[use] = proj[use] / norms[use, None]
     return coords
+
+
+def top_eigpair3(S: np.ndarray):
+    """(lambda_max (L,), unit top eigenvector (L, 3)) of Hermitian 3x3 rows.
+
+    The trigonometric cubic (Smith, CACM 1961) gives the top eigenvalue
+    beta of B = (S - qI) / p; the largest column of adj(B - beta I), a plain
+    (unconjugated) cross product of two of its rows, is the eigenvector, and
+    lambda_max is its Rayleigh quotient.  Rows whose top two eigenvalues lie
+    within CLOSED_FORM_GAP_TOL * |S| (ties, multiples of I) or whose cross
+    products all vanish go to numpy.linalg.eigh and canonical_top_coords.
+    """
+    d = np.real(np.diagonal(S, axis1=1, axis2=2))
+    x, y, z = S[:, 0, 1], S[:, 0, 2], S[:, 1, 2]
+    ax, ay, az = (c.real**2 + c.imag**2 for c in (x, y, z))
+    dq = d - (d.sum(axis=1) / 3.0)[:, None]
+    p = np.sqrt((np.sum(dq * dq, axis=1) + 2.0 * (ax + ay + az)) / 6.0)
+    inv = 1.0 / np.where(p > 0.0, p, 1.0)
+    (b0, b1, b2), bx, by, bz = (dq * inv[:, None]).T, x * inv, y * inv, z * inv
+    cx, cy, cz = ax * inv**2, ay * inv**2, az * inv**2
+    half_det = 0.5 * (b0 * b1 * b2 + 2.0 * (bx * bz * np.conj(by)).real
+                      - b0 * cz - b1 * cy - b2 * cx)
+    phi = np.arccos(np.clip(half_det, -1.0, 1.0)) / 3.0
+    m0, m1, m2 = (b - 2.0 * np.cos(phi) for b in (b0, b1, b2))
+    # adj(B - beta I), Hermitian; column j is the cross product of rows j+1, j+2.
+    a01, a02, a12 = by * np.conj(bz) - m2 * bx, bx * bz - m1 * by, np.conj(bx) * by - m0 * bz
+    adj = np.array([[m1 * m2 - cz + 0j, a01, a02], [np.conj(a01), m0 * m2 - cy + 0j, a12],
+                    [np.conj(a02), np.conj(a12), m0 * m1 - cx + 0j]])  # (3, 3, L)
+    norms = np.sum(adj.real**2 + adj.imag**2, axis=0)  # squared column norms
+    k, rows = np.argmax(norms, axis=0), np.arange(len(S))
+    scale = np.linalg.norm(S, axis=(1, 2))
+    gap = 2.0 * np.sqrt(3.0) * p * np.sin(np.pi / 3.0 - phi)  # lambda_1 - lambda_2
+    keep = (gap > CLOSED_FORM_GAP_TOL * scale) & (norms[k, rows] > CLOSED_FORM_GAP_TOL**4)
+    v = adj.T[rows, k] / np.sqrt(np.where(keep, norms[k, rows], 1.0))[:, None]
+    lam = np.einsum("li,lij,lj->l", np.conj(v), S, v).real
+    if not np.all(keep):
+        back = ~keep
+        vals, vecs = np.linalg.eigh(S[back])
+        lam[back] = vals[:, -1]
+        v[back] = canonical_top_coords(vals, vecs, scale[back])
+    return lam, v
 
 
 def fix_phase(v: np.ndarray) -> np.ndarray:

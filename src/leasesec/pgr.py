@@ -7,8 +7,8 @@ simplex, taking the top eigenvector of Z = sum_k mu_k e_k h_k h_k^*, and
 scaling by a transmit power.  boundary_sweep is the one eigen path: it
 shares one span basis per channel set, so the per-point cost does not grow
 with n_t, and a single boundary point is a one-row sweep.  Each row is an
-r x r eigenproblem in span coordinates: numpy.linalg.eigh solves r = 3,
-and numerics.jacobi_eigh's single rotation solves r <= 2.
+r x r eigenproblem in span coordinates: numerics.top_eigpair3's closed form
+solves r = 3, and numerics.jacobi_eigh's single rotation solves r <= 2.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .numerics import (
     fix_phase,
     jacobi_eigh,
     orthonormal_span_basis,
+    top_eigpair3,
     _complement_vector,
 )
 
@@ -144,22 +145,24 @@ def boundary_sweep(mu: np.ndarray, e: Sequence[int], ch: ChannelSet) -> SweepRes
     coeff = mu * np.asarray(e, dtype=float)[None, :]
     S = np.einsum("lk,kij->lij", coeff, outers)
     S = (S + np.conj(np.transpose(S, (0, 2, 1)))) / 2.0
-    vals, vecs = np.linalg.eigh(S) if r == 3 else jacobi_eigh(S)
-    lam = vals[:, -1].copy()
-    coords = canonical_top_coords(vals, vecs, np.linalg.norm(S, axis=(1, 2)))
+    if r == 3:
+        lam, coords = top_eigpair3(S)
+    else:
+        vals, vecs = jacobi_eigh(S)
+        lam = vals[:, -1].copy()
+        coords = canonical_top_coords(vals, vecs, np.linalg.norm(S, axis=(1, 2)))
+    comp = np.zeros(len(lam), dtype=bool)
     if r < n:
         # The orthogonal complement carries eigenvalue 0.  It wins only when
         # every in-span eigenvalue is clearly negative; ties keep the in-span
         # eigenvector so nearby lattice rows stay continuous.
         comp = lam < -TIE_TOL
-        lam = np.where(lam < -TIE_TOL, 0.0, np.maximum(lam, 0.0))
-    else:
-        comp = np.zeros(len(lam), dtype=bool)
+        lam = np.maximum(lam, 0.0)
     # Gains of unit-norm eigenvectors against the full channel triple.
     ht3 = np.conj(B.T) @ ch.secondary_vectors().T  # (r, 3)
     unit_gains = np.abs(np.einsum("lr,rk->lk", np.conj(coords), ht3)) ** 2
-    comp_vec = _complement_vector(basis, n) if r < n else None
-    if np.any(comp):
+    comp_vec = _complement_vector(basis, n) if np.any(comp) else None
+    if comp_vec is not None:
         # Orthogonal to the term channels; may still see the others (k == 2).
         unit_gains[comp] = (
             np.abs(np.conj(comp_vec) @ ch.secondary_vectors().T) ** 2

@@ -3,7 +3,14 @@ import numpy.testing as npt
 import pytest
 
 from leasesec.model import ChannelSet
-from leasesec.numerics import inner, jacobi_eigh, orthonormal_span_basis
+from leasesec.numerics import (
+    CLOSED_FORM_GAP_TOL,
+    canonical_top_coords,
+    inner,
+    jacobi_eigh,
+    orthonormal_span_basis,
+    top_eigpair3,
+)
 from leasesec.pgr import boundary_sweep
 
 
@@ -95,10 +102,96 @@ class TestJacobi:
         npt.assert_allclose(np.conj(vecs.T) @ vecs, np.eye(2), atol=1e-13)
 
     def test_rejects_large_matrices(self):
-        # 3x3 spans go to numpy.linalg.eigh, never to the single rotation.
+        # 3x3 spans go to top_eigpair3, never to the single rotation.
         for n in (3, 4):
             with pytest.raises(ValueError):
                 jacobi_eigh(np.eye(n, dtype=complex))
+
+
+def hermitian_with_eigenvalues(rng, vals):
+    """U diag(vals) U^* for one random unitary U per row of vals (L, 3)."""
+    raw = rng.standard_normal((len(vals), 3, 3)) + 1j * rng.standard_normal((len(vals), 3, 3))
+    U, _ = np.linalg.qr(raw)
+    S = np.einsum("lij,lj,lkj->lik", U, vals, np.conj(U))
+    return (S + np.conj(np.transpose(S, (0, 2, 1)))) / 2
+
+
+def lapack_top(S):
+    """The LAPACK path that top_eigpair3 falls back to, for every row."""
+    vals, vecs = np.linalg.eigh(S)
+    return vals[:, -1], canonical_top_coords(vals, vecs, np.linalg.norm(S, axis=(1, 2)))
+
+
+class TestTopEigpair3:
+    """The closed-form 3x3 top eigenpair against dense numpy.linalg.eigh."""
+
+    def assert_eigpairs(self, S, lam, v, tol=1e-13):
+        scale = np.maximum(np.linalg.norm(S, axis=(1, 2)), 1.0)
+        dlam = np.abs(lam - np.linalg.eigvalsh(S)[:, -1]) / scale
+        res = np.linalg.norm(np.einsum("lij,lj->li", S, v) - lam[:, None] * v, axis=1)
+        assert dlam.max() <= tol
+        assert (res / scale).max() <= tol
+        npt.assert_allclose(np.linalg.norm(v, axis=1), 1.0, atol=1e-14)
+
+    def test_random_batches(self):
+        rng = np.random.default_rng(2024)
+        raw = rng.standard_normal((60_000, 3, 3)) + 1j * rng.standard_normal((60_000, 3, 3))
+        dense = (raw + np.conj(np.transpose(raw, (0, 2, 1)))) / 2
+        dense *= 10.0 ** rng.uniform(-3, 4, size=(len(dense), 1, 1))
+        h = rng.standard_normal((60_000, 3, 3)) + 1j * rng.standard_normal((60_000, 3, 3))
+        sums = np.einsum("lk,lki,lkj->lij", rng.uniform(-1, 1, (60_000, 3)), h, np.conj(h))
+        for S in (dense, (sums + np.conj(np.transpose(sums, (0, 2, 1)))) / 2):
+            self.assert_eigpairs(S, *top_eigpair3(S))
+
+    def test_rank_one_corner_rows(self):
+        # mu = e_k: +c h h^* is solved in closed form (the two lower
+        # eigenvalues tie), -c h h^* ties at the top and takes LAPACK.
+        rng = np.random.default_rng(8)
+        h = rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3))
+        c = np.repeat([1.0, -1.0], 20)[:, None, None] * rng.uniform(0.1, 10.0, (40, 1, 1))
+        S = c * np.einsum("li,lj->lij", h, np.conj(h))
+        lam, v = top_eigpair3(S)
+        self.assert_eigpairs(S, lam, v)
+        ref_lam, ref_v = lapack_top(S[20:])
+        assert lam[20:].tobytes() == ref_lam.tobytes()
+        assert v[20:].tobytes() == ref_v.tobytes()
+
+    @pytest.mark.parametrize("gap", [0.0, 1e-9])
+    def test_tied_and_near_tied_top(self, gap):
+        # Rows within CLOSED_FORM_GAP_TOL of a tie take the LAPACK path
+        # bit for bit; the tied subspace is resolved by canonical_top_coords.
+        assert gap < CLOSED_FORM_GAP_TOL
+        rng = np.random.default_rng(31)
+        top = rng.uniform(-2.0, 2.0, 50)
+        vals = np.column_stack([top - 3.0, top - gap * np.abs(top - 3.0), top])
+        S = hermitian_with_eigenvalues(rng, vals)
+        lam, v = top_eigpair3(S)
+        self.assert_eigpairs(S, lam, v)
+        ref_lam, ref_v = lapack_top(S)
+        assert lam.tobytes() == ref_lam.tobytes()
+        assert v.tobytes() == ref_v.tobytes()
+
+    def test_gap_just_above_the_fallback(self, monkeypatch):
+        # Three times the fallback gap: closed form only, still at 1e-13.
+        def no_lapack(_):
+            raise AssertionError("row left the closed form")
+
+        rng = np.random.default_rng(32)
+        top = rng.uniform(-2.0, 2.0, 500)
+        norm = np.sqrt(2 * top**2 + (top - 3.0) ** 2)
+        vals = np.column_stack([top - 3.0, top - 3 * CLOSED_FORM_GAP_TOL * norm, top])
+        S = hermitian_with_eigenvalues(rng, vals)
+        monkeypatch.setattr(np.linalg, "eigh", no_lapack)
+        lam, v = top_eigpair3(S)
+        monkeypatch.undo()
+        self.assert_eigpairs(S, lam, v)
+
+    @pytest.mark.parametrize("c", [0.0, 2.5, -7.0])
+    def test_multiple_of_identity(self, c):
+        S = np.tile(c * np.eye(3, dtype=complex), (4, 1, 1))
+        lam, v = top_eigpair3(S)
+        assert np.all(lam == c)
+        npt.assert_array_equal(np.abs(v), np.tile([1.0, 0.0, 0.0], (4, 1)))
 
 
 class TestMaxEigpair:
