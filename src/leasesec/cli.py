@@ -168,9 +168,13 @@ def read_csv_rows(stream) -> list[SweepRow]:
 
 
 def _out_stream(path: str | None):
+    """(stream, owned) for --out; opened before any work so a bad path fails fast."""
     if path is None or path == "-":
         return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline="\n"), True
+    try:
+        return open(path, "w", encoding="utf-8", newline="\n"), True
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _add_sweep_flags(sub: argparse.ArgumentParser) -> None:
@@ -209,9 +213,9 @@ def _cmd_sweep(args, nt_default: tuple, snr_default: tuple) -> int:
     if overrides["snr_db"] is None and args.config is None:
         overrides["snr_db"] = list(snr_default)
     cfg = parse_config(args.config, overrides)
-    rows = run_sweep(cfg, workers=args.workers)
     stream, close = _out_stream(args.out)
     try:
+        rows = run_sweep(cfg, workers=args.workers)
         emit_csv(rows, stream)
     finally:
         if close:
@@ -264,13 +268,10 @@ def cmd_pgr_boundary(args) -> int:
     ch = sample_channels(p, TrialSeed(args.seed, args.trial))
     e = (DIRECTION_SUPPRESS_PRIMARY if args.direction == "e1"
          else DIRECTION_SUPPRESS_PRIMARY_AND_EVE)
-    points = [
-        boundary_beamformer(mu, e, ch, p.p_s_max)
-        for mu in sample_simplex(3, args.resolution)
-    ]
+    lattice = sample_simplex(3, args.resolution)
     stream, close = _out_stream(args.out)
     try:
-        export_boundary(points, stream)
+        export_boundary([boundary_beamformer(mu, e, ch, p.p_s_max) for mu in lattice], stream)
     finally:
         if close:
             stream.close()

@@ -5,7 +5,8 @@ three terms.  pgr.boundary_sweep solves their eigenproblems in the span of
 the h_k and accounts for the zero eigenvalue of the orthogonal complement
 separately, so the cost does not depend on the ambient dimension.  A span
 of dimension <= 2 goes to jacobi_eigh, one exact Jacobi rotation with no
-iteration; a 3-dimensional span goes to top_eigpair3's closed form.
+iteration that forms only the eigenvalues and the rotation itself; a
+3-dimensional span goes to top_eigpair3's closed form.
 """
 
 from __future__ import annotations
@@ -74,57 +75,47 @@ def jacobi_eigh(mats: np.ndarray):
     """Eigendecomposition of Hermitian 1x1 or 2x2 matrices by one Jacobi rotation.
 
     mats: (n, n) or batched (L, n, n) complex Hermitian, n <= 2.  One
-    rotation diagonalizes a 2x2 matrix exactly; the batch skips it only when
+    rotation J diagonalizes a 2x2 matrix exactly; the batch skips it only when
     every off-diagonal entry is below JACOBI_TOL times its matrix's
-    Frobenius norm.  Returns (eigenvalues ascending, eigenvector columns).
+    Frobenius norm.  Only the diagonal of J^* A J is formed (the eigenvalues)
+    and J itself is the eigenvector matrix.  Returns (eigenvalues ascending,
+    eigenvector columns); equal eigenvalues keep their order.
     """
-    A = np.array(mats, dtype=np.complex128, copy=True)
+    A = np.asarray(mats, dtype=np.complex128)
     single = A.ndim == 2
     if single:
         A = A[None]
     L, n, n2 = A.shape
     if n != n2 or n not in (1, 2):
         raise ValueError(f"expected square matrices of size 1 or 2, got {A.shape}")
-    V = np.tile(np.eye(n, dtype=np.complex128), (L, 1, 1))
-    if n == 2:
-        thresh = JACOBI_TOL * np.maximum(np.linalg.norm(A, axis=(1, 2)), 1e-300)
-        if not np.all(np.abs(A[:, 0, 1]) ** 2 <= thresh * thresh):
-            _rotate(A, V)
     vals = np.real(np.diagonal(A, axis1=1, axis2=2)).copy()
-    order = np.argsort(vals, axis=1, kind="stable")
-    vals = np.take_along_axis(vals, order, axis=1)
-    V = np.take_along_axis(V, order[:, None, :], axis=2)
+    V = np.eye(n, dtype=np.complex128)[None].repeat(L, axis=0)
+    if n == 2:
+        a00, a01, a10, a11 = A[:, 0, 0], A[:, 0, 1], A[:, 1, 0], A[:, 1, 1]
+        m = np.abs(a01)
+        thresh = JACOBI_TOL * np.maximum(np.linalg.norm(A, axis=(1, 2)), 1e-300)
+        if not np.all(m**2 <= thresh * thresh):
+            act = m > 0.0
+            safe_m = np.where(act, m, 1.0)
+            ph = np.where(act, a01 / safe_m, 1.0 + 0.0j)
+            tau = np.where(act, (a11.real - a00.real) / (2.0 * safe_m), 0.0)
+            sign = np.where(tau >= 0, 1.0, -1.0)
+            t = np.where(act, sign / (np.abs(tau) + np.sqrt(1.0 + tau * tau)), 0.0)
+            root = np.sqrt(1.0 + t * t)
+            c, s = (1.0 / root).astype(np.complex128), (t / root).astype(np.complex128)
+            jqp, jqq = -s * np.conj(ph), c * np.conj(ph)
+            # (J^* A J)_pp and _qq as J^* (A J), so each product rounds as in the full update.
+            vals = np.column_stack([
+                np.conj(c) * (a00 * c + a01 * jqp) + np.conj(jqp) * (a10 * c + a11 * jqp),
+                np.conj(s) * (a00 * s + a01 * jqq) + np.conj(jqq) * (a10 * s + a11 * jqq),
+            ]).real
+            # J = [[c, s], [jqp, jqq]], its zeros signed as the product I J signs them.
+            V = np.stack([c, s, jqp + 0.0, 0.0 * s + 1.0 * jqq], axis=1).reshape(A.shape)
+        swap = (vals[:, 0] > vals[:, 1])[:, None]  # a stable sort of the pair
+        vals, V = np.where(swap, vals[:, ::-1], vals), np.where(swap[:, None], V[:, :, ::-1], V)
     if single:
         return vals[0], V[0]
     return vals, V
-
-
-def _rotate(A: np.ndarray, V: np.ndarray) -> None:
-    """The batched Jacobi rotation zeroing A[:, 0, 1] of 2x2 matrices (in place)."""
-    apq = A[:, 0, 1].copy()
-    m = np.abs(apq)
-    act = m > 0.0
-    safe_m = np.where(act, m, 1.0)
-    ph = np.where(act, apq / safe_m, 1.0 + 0.0j)
-    tau = np.where(act, (A[:, 1, 1].real - A[:, 0, 0].real) / (2.0 * safe_m), 0.0)
-    t = np.where(
-        act,
-        np.where(tau >= 0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau)),
-        0.0,
-    )
-    c = (1.0 / np.sqrt(1.0 + t * t)).astype(np.complex128)
-    s = (t / np.sqrt(1.0 + t * t)).astype(np.complex128)
-    jqp = -s * np.conj(ph)
-    jqq = c * np.conj(ph)
-    for M in (A, V):
-        colp = M[:, :, 0].copy()
-        colq = M[:, :, 1].copy()
-        M[:, :, 0] = colp * c[:, None] + colq * jqp[:, None]
-        M[:, :, 1] = colp * s[:, None] + colq * jqq[:, None]
-    rowp = A[:, 0, :].copy()
-    rowq = A[:, 1, :].copy()
-    A[:, 0, :] = np.conj(c)[:, None] * rowp + np.conj(jqp)[:, None] * rowq
-    A[:, 1, :] = np.conj(s)[:, None] * rowp + np.conj(jqq)[:, None] * rowq
 
 
 def canonical_top_coords(vals: np.ndarray, vecs: np.ndarray, scale: np.ndarray):

@@ -5,16 +5,18 @@ A beamformer w induces the gain triple (|w^* h_sp|^2, |w^* h_se|^2,
 a sign direction e are swept by weighting the channels over the probability
 simplex, taking the top eigenvector of Z = sum_k mu_k e_k h_k h_k^*, and
 scaling by a transmit power.  boundary_sweep is the one eigen path: it
-shares one span basis per channel set, so the per-point cost does not grow
-with n_t, and a single boundary point is a one-row sweep.  Each row is an
-r x r eigenproblem in span coordinates: numerics.top_eigpair3's closed form
-solves r = 3, and numerics.jacobi_eigh's single rotation solves r <= 2.
+builds one span basis per channel set (memoized on the vectors' bytes, with
+the terms and projected channels), so the per-point cost does not grow with
+n_t, and a single boundary point is a one-row sweep.  Each row is an r x r
+eigenproblem in span coordinates: numerics.top_eigpair3's closed form solves
+r = 3, and numerics.jacobi_eigh's single rotation solves r <= 2.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import Sequence
 
@@ -70,33 +72,63 @@ def power_gains(w: np.ndarray, ch: ChannelSet) -> tuple:
     return tuple(float(np.abs(np.vdot(w, h)) ** 2) for h in ch.secondary_vectors())
 
 
+@lru_cache(maxsize=32)
 def sample_simplex(dim: int, m: int) -> np.ndarray:
     """All lattice points with coordinates i/m summing to 1, shape (L, dim).
 
     L = C(m + dim - 1, dim - 1); enumeration order is lexicographic in the
-    integer parts, which fixes the ordering of every downstream sweep.
+    integer parts, which fixes the ordering of every downstream sweep.  Each
+    (dim, m) lattice is built once and returned read-only.
     """
     if dim not in (2, 3):
         raise ValueError(f"dim must be 2 or 3, got {dim}")
     if m < 1:
         raise ValueError(f"resolution must be >= 1, got {m}")
+    i = np.arange(m + 1)
     if dim == 2:
-        i = np.arange(m + 1)
         pts = np.column_stack([i, m - i])
     else:
-        rows = [(i, j, m - i - j) for i in range(m + 1) for j in range(m - i + 1)]
-        pts = np.array(rows)
+        i = np.repeat(i, m + 1 - i)  # first part i carries m - i + 1 rows
+        j = np.arange(len(i)) - (i * (2 * m + 3 - i)) // 2
+        pts = np.column_stack([i, j, m - i - j])
     if len(pts) != comb(m + dim - 1, dim - 1):
         raise RuntimeError(
             f"simplex lattice has {len(pts)} points, expected C({m + dim - 1}, {dim - 1})"
         )
-    return pts / float(m)
+    pts = pts / float(m)
+    pts.flags.writeable = False
+    return pts
 
 
-def _term_channels(ch: ChannelSet, k: int) -> np.ndarray:
-    if k == 3:
-        return ch.secondary_vectors()
-    return np.stack([ch.h_sp, ch.h_ss])
+@lru_cache(maxsize=16)
+def _span_data(vectors: bytes, k: int):
+    """Span data of one channel set for the k-term family, built once.
+
+    vectors holds the bytes of the stacked (h_sp, h_se, h_ss); keying on them
+    means a channel set edited in place never reads a stale entry.  Returns
+    read-only (basis matrix (n_t, r), term outer products in span coordinates
+    as real rows (k, 2 r^2), projected receiver channels (r, 3), and the
+    complement vector with its unit gains (3,), or None when the span is all
+    of C^n_t).
+    """
+    H = np.frombuffer(vectors, dtype=np.complex128).reshape(3, -1)
+    chans = H if k == 3 else H[[0, 2]]  # the two-term family reads (h_sp, h_ss)
+    basis = orthonormal_span_basis(list(chans))
+    if not basis:
+        raise ValueError("all channel vectors are zero")
+    B = np.column_stack(basis)
+    ht = np.conj(B.T) @ chans.T  # (r, k) projected channels
+    # Outer products ht_k ht_k^* as real rows (k, 2 r^2) of interleaved (re, im).
+    outers = np.ascontiguousarray(np.einsum("ik,jk->kij", ht, np.conj(ht)))
+    terms = outers.view(float).reshape(k, -1)
+    ht3 = np.conj(B.T) @ H.T
+    comp = None
+    if B.shape[1] < H.shape[1]:
+        vec = _complement_vector(basis, H.shape[1])
+        comp = vec, np.abs(np.conj(vec) @ H.T) ** 2
+    for arr in (B, terms, ht3, *(comp or ())):
+        arr.flags.writeable = False
+    return B, terms, ht3, comp
 
 
 @dataclass(frozen=True)
@@ -133,17 +165,14 @@ def boundary_sweep(mu: np.ndarray, e: Sequence[int], ch: ChannelSet) -> SweepRes
         raise ValueError(f"direction signs must be +/-1, got {e}")
     if mu.shape[1] != k:
         raise ValueError(f"mu has {mu.shape[1]} weights for a {k}-term direction")
-    chans = _term_channels(ch, k)
-    n = ch.n_t
-    basis = orthonormal_span_basis(list(chans))
-    if not basis:
-        raise ValueError("all channel vectors are zero")
-    B = np.column_stack(basis)
+    H = np.asarray(ch.secondary_vectors(), dtype=np.complex128)
+    B, terms, ht3, comp_data = _span_data(H.tobytes(), k)
     r = B.shape[1]
-    ht = np.conj(B.T) @ chans.T  # (r, k) projected channels
-    outers = np.einsum("ik,jk->kij", ht, np.conj(ht))  # (k, r, r)
-    coeff = mu * np.asarray(e, dtype=float)[None, :]
-    S = np.einsum("lk,kij->lij", coeff, outers)
+    # S = sum_k mu_k e_k ht_k ht_k^*, accumulated from zero one term at a time.
+    S = np.zeros((len(mu), terms.shape[1]))
+    for coeff, term in zip((mu * np.asarray(e, dtype=float)[None, :]).T, terms):
+        S += coeff[:, None] * term
+    S = S.view(np.complex128).reshape(-1, r, r)
     S = (S + np.conj(np.transpose(S, (0, 2, 1)))) / 2.0
     if r == 3:
         lam, coords = top_eigpair3(S)
@@ -152,21 +181,18 @@ def boundary_sweep(mu: np.ndarray, e: Sequence[int], ch: ChannelSet) -> SweepRes
         lam = vals[:, -1].copy()
         coords = canonical_top_coords(vals, vecs, np.linalg.norm(S, axis=(1, 2)))
     comp = np.zeros(len(lam), dtype=bool)
-    if r < n:
+    if comp_data is not None:
         # The orthogonal complement carries eigenvalue 0.  It wins only when
         # every in-span eigenvalue is clearly negative; ties keep the in-span
         # eigenvector so nearby lattice rows stay continuous.
         comp = lam < -TIE_TOL
         lam = np.maximum(lam, 0.0)
     # Gains of unit-norm eigenvectors against the full channel triple.
-    ht3 = np.conj(B.T) @ ch.secondary_vectors().T  # (r, 3)
     unit_gains = np.abs(np.einsum("lr,rk->lk", np.conj(coords), ht3)) ** 2
-    comp_vec = _complement_vector(basis, n) if np.any(comp) else None
+    comp_vec = comp_data[0] if np.any(comp) else None
     if comp_vec is not None:
         # Orthogonal to the term channels; may still see the others (k == 2).
-        unit_gains[comp] = (
-            np.abs(np.conj(comp_vec) @ ch.secondary_vectors().T) ** 2
-        )[None, :]
+        unit_gains[comp] = comp_data[1][None, :]
     return SweepResult(
         mu=mu,
         e=e,

@@ -206,6 +206,21 @@ class TestCommands:
         assert "config error:" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["sweep-snr", "sweep-nt", "pgr-boundary"])
+    def test_unwritable_out_fails_before_any_work(self, command, tmp_path, monkeypatch, capsys):
+        import leasesec.cli as cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before --out was opened")
+
+        monkeypatch.setattr(cli, "run_sweep", no_work)
+        monkeypatch.setattr(cli, "boundary_beamformer", no_work)
+        args = ["--nt", "2", "--trials", "1"] if command != "pgr-boundary" else []
+        for out in (tmp_path / "no" / "such" / "x.csv", tmp_path):
+            assert main([command, *args, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+
     def test_pgr_boundary_output(self, tmp_path):
         out_file = tmp_path / "boundary.csv"
         res = run_cli("pgr-boundary", "--seed", "4", "--nt", "2",

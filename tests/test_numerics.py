@@ -2,9 +2,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from leasesec.model import ChannelSet
+from leasesec.model import ChannelSet, SystemParams, TrialSeed, sample_channels
 from leasesec.numerics import (
     CLOSED_FORM_GAP_TOL,
+    JACOBI_TOL,
     canonical_top_coords,
     inner,
     jacobi_eigh,
@@ -106,6 +107,111 @@ class TestJacobi:
         for n in (3, 4):
             with pytest.raises(ValueError):
                 jacobi_eigh(np.eye(n, dtype=complex))
+
+
+def reference_jacobi_eigh(mats):
+    """jacobi_eigh as it was: the full in-place rotation of A and V, then a
+    stable argsort.  Kept here as the byte-level reference."""
+    A = np.array(mats, dtype=np.complex128, copy=True)
+    single = A.ndim == 2
+    if single:
+        A = A[None]
+    L, n, _ = A.shape
+    V = np.tile(np.eye(n, dtype=np.complex128), (L, 1, 1))
+    thresh = JACOBI_TOL * np.maximum(np.linalg.norm(A, axis=(1, 2)), 1e-300)
+    if n == 2 and not np.all(np.abs(A[:, 0, 1]) ** 2 <= thresh * thresh):
+        apq = A[:, 0, 1].copy()
+        m = np.abs(apq)
+        act = m > 0.0
+        safe_m = np.where(act, m, 1.0)
+        ph = np.where(act, apq / safe_m, 1.0 + 0.0j)
+        tau = np.where(act, (A[:, 1, 1].real - A[:, 0, 0].real) / (2.0 * safe_m), 0.0)
+        t = np.where(act, np.where(tau >= 0, 1.0, -1.0)
+                     / (np.abs(tau) + np.sqrt(1.0 + tau * tau)), 0.0)
+        c = (1.0 / np.sqrt(1.0 + t * t)).astype(np.complex128)
+        s = (t / np.sqrt(1.0 + t * t)).astype(np.complex128)
+        jqp = -s * np.conj(ph)
+        jqq = c * np.conj(ph)
+        for M in (A, V):
+            colp = M[:, :, 0].copy()
+            colq = M[:, :, 1].copy()
+            M[:, :, 0] = colp * c[:, None] + colq * jqp[:, None]
+            M[:, :, 1] = colp * s[:, None] + colq * jqq[:, None]
+        rowp = A[:, 0, :].copy()
+        rowq = A[:, 1, :].copy()
+        A[:, 0, :] = np.conj(c)[:, None] * rowp + np.conj(jqp)[:, None] * rowq
+        A[:, 1, :] = np.conj(s)[:, None] * rowp + np.conj(jqq)[:, None] * rowq
+    vals = np.real(np.diagonal(A, axis1=1, axis2=2)).copy()
+    order = np.argsort(vals, axis=1, kind="stable")
+    vals = np.take_along_axis(vals, order, axis=1)
+    V = np.take_along_axis(V, order[:, None, :], axis=2)
+    return (vals[0], V[0]) if single else (vals, V)
+
+
+def assert_same_bytes(mats):
+    got, want = jacobi_eigh(mats), reference_jacobi_eigh(mats)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
+
+
+class TestJacobiBytes:
+    """jacobi_eigh forms only the diagonal of J^* A J and J itself; every
+    output bit must equal the full rotation's, signed zeros included."""
+
+    def test_sweep_lattices(self, monkeypatch):
+        # The 2x2 batches boundary_sweep hands over on coarse lattices of
+        # 100 two-antenna channels: 1.07 M rows.
+        import leasesec.pgr as pgr
+
+        batches = []
+        monkeypatch.setattr(pgr, "jacobi_eigh", lambda S: batches.append(S) or jacobi_eigh(S))
+        p = SystemParams.from_snr_db(10.0, 0.0, 2)
+        for t in range(100):
+            ch = sample_channels(p, TrialSeed(4242, t))
+            for e in ((-1, 1, 1), (-1, -1, 1)):
+                pgr.boundary_sweep(pgr.sample_simplex(3, 100), e, ch)
+            pgr.boundary_sweep(pgr.sample_simplex(2, 400), (-1, 1), ch)
+        assert sum(len(S) for S in batches) >= 1_000_000
+        for S in batches:
+            assert_same_bytes(S)
+
+    def test_random_batches(self):
+        rng = np.random.default_rng(3)
+        raw = rng.standard_normal((20000, 2, 2)) + 1j * rng.standard_normal((20000, 2, 2))
+        assert_same_bytes((raw + np.conj(np.transpose(raw, (0, 2, 1)))) / 2)
+
+    def test_all_diagonal_batch(self):
+        rng = np.random.default_rng(4)
+        D = np.zeros((50, 2, 2), complex)
+        D[:, 0, 0], D[:, 1, 1] = rng.standard_normal((2, 50))
+        D[3, 0, 1] = D[3, 1, 0] = 1e-20  # below JACOBI_TOL: still no rotation
+        assert_same_bytes(D)
+
+    def test_mixed_batch_rotates_every_row(self):
+        # One row needs the rotation, so the already diagonal rows (one of
+        # them exactly, one within JACOBI_TOL) are rotated too.
+        H = np.array([[[1.0, 0.5 - 0.2j], [0.5 + 0.2j, -1.0]],
+                      [[1.0, 0.0], [0.0, 2.0]],
+                      [[2.0, 1e-20j], [-1e-20j, 1.0]],
+                      [[3.0, 0.0], [0.0, -3.0]]], dtype=complex)
+        assert_same_bytes(H)
+
+    def test_ties_and_signed_zeros(self):
+        # Every combination of zero, signed-zero, equal and distinct entries.
+        diag = [0.0, -0.0, 1.0, -1.0, 2.0]
+        off = [0.0, -0.0, 1.0, -1.0, 0.3]
+        cases = [[[complex(a, 0.0), complex(x, y)], [complex(x, -y), complex(d, 0.0)]]
+                 for a in diag for d in diag for x in off for y in off]
+        assert_same_bytes(np.array(cases))
+        for H in cases[::7]:
+            assert_same_bytes(np.array(H))
+
+    def test_one_by_one_and_single_matrices(self):
+        assert_same_bytes(np.array([[[3.0 + 0j]], [[-1.0 + 0j]], [[-1.0 + 0j]]]))
+        assert_same_bytes(np.array([[2.0 + 0j]]))
+        assert_same_bytes(np.array([[2.0, -1j], [1j, 1.0]]))
+        assert_same_bytes(np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex))
 
 
 def hermitian_with_eigenvalues(rng, vals):

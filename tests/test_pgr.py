@@ -7,6 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import leasesec.pgr as pgr
 from leasesec.model import SystemParams, TrialSeed, sample_channels
 from leasesec.pgr import (
     CSV_HEADER,
@@ -82,6 +83,23 @@ class TestSampleSimplex:
                              capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
         assert out.stdout.startswith("raised simplex lattice has 15 points")
+
+
+    @pytest.mark.parametrize("dim, m", [(2, 1), (2, 7), (2, 400), (3, 1), (3, 2), (3, 9), (3, 100)])
+    def test_equals_the_enumeration(self, dim, m):
+        if dim == 2:
+            rows = [(i, m - i) for i in range(m + 1)]
+        else:
+            rows = [(i, j, m - i - j) for i in range(m + 1) for j in range(m - i + 1)]
+        want = np.array(rows) / float(m)
+        got = sample_simplex(dim, m)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_built_once_and_read_only(self):
+        pts = sample_simplex(3, 5)
+        assert sample_simplex(3, 5) is pts
+        with pytest.raises(ValueError):
+            pts[0, 0] = 0.5
 
 
 def pool_powers_panel():
@@ -242,6 +260,28 @@ class TestBoundarySweep:
                     differ.append(i)
             assert differ == [], f"{len(differ)} of {len(mu)} rows differ"
 
+    @pytest.mark.parametrize("nt", [2, 3, 4])
+    def test_weighted_sums_equal_the_einsum(self, nt, monkeypatch):
+        # The S = sum_k mu_k e_k ht_k ht_k^* rows handed to the eigensolvers,
+        # byte for byte against the einsum over the term outer products.
+        captured = []
+        for name in ("jacobi_eigh", "top_eigpair3"):
+            solver = getattr(pgr, name)
+            monkeypatch.setattr(pgr, name, lambda S, f=solver: captured.append(S) or f(S))
+        ch, _ = draw(nt=nt, seed=31)
+        H = ch.secondary_vectors()
+        for mu, e in ((sample_simplex(3, 40), DIRECTION_SUPPRESS_PRIMARY),
+                      (sample_simplex(3, 40), DIRECTION_SUPPRESS_PRIMARY_AND_EVE),
+                      (sample_simplex(2, 90), DIRECTION_TWO_TERM)):
+            captured.clear()
+            sweep = boundary_sweep(mu, e, ch)
+            chans = H if len(e) == 3 else H[[0, 2]]
+            ht = np.conj(sweep.basis.T) @ chans.T
+            outers = np.einsum("ik,jk->kij", ht, np.conj(ht))
+            S = np.einsum("lk,kij->lij", mu * np.asarray(e, dtype=float), outers)
+            S = (S + np.conj(np.transpose(S, (0, 2, 1)))) / 2.0
+            assert len(captured) == 1 and captured[0].tobytes() == S.tobytes()
+
     def test_lambda_nonnegative_with_enough_antennas(self):
         # Suppressing one receiver with three antennas never needs a
         # negative top eigenvalue; the isolated all-weight-on-primary
@@ -280,6 +320,59 @@ class TestBoundarySweep:
                 & (rand_gains[:, None, 2] > b[None, :, 2] + slack)
             )
             assert not dominates.any()
+
+
+SWEEP_FIELDS = ("mu", "lam", "unit_gains", "coords", "basis", "from_complement")
+
+
+def sweep_bytes(sweep):
+    comp = None if sweep.complement is None else sweep.complement.tobytes()
+    return tuple(getattr(sweep, f).tobytes() for f in SWEEP_FIELDS) + (comp,)
+
+
+def cold_sweeps(ch, lattices):
+    """Every (mu, e) sweep of ch with the span-data memo emptied first."""
+    pgr._span_data.cache_clear()
+    return [sweep_bytes(boundary_sweep(mu, e, ch)) for mu, e in lattices]
+
+
+class TestSpanDataMemo:
+    """boundary_sweep builds a channel set's span data once, keyed on the
+    bytes of its vectors."""
+
+    LATTICES = [(sample_simplex(3, 6), DIRECTION_SUPPRESS_PRIMARY),
+                (sample_simplex(3, 6), DIRECTION_SUPPRESS_PRIMARY_AND_EVE),
+                (sample_simplex(2, 9), DIRECTION_TWO_TERM)]
+
+    @pytest.mark.parametrize("nt", [2, 3, 4])
+    def test_edits_reach_the_sweep(self, nt):
+        ch, _ = draw(nt=nt, seed=21)
+        warm = [sweep_bytes(boundary_sweep(mu, e, ch)) for mu, e in self.LATTICES]
+        ch.h_se = ch.h_se * (0.5 - 1j)  # replaced
+        edited = [sweep_bytes(boundary_sweep(mu, e, ch)) for mu, e in self.LATTICES]
+        assert edited == cold_sweeps(ch, self.LATTICES)
+        assert edited[:2] != warm[:2]  # the two-term family does not read h_se
+        ch.h_sp[0] += 0.25  # edited in place
+        edited = [sweep_bytes(boundary_sweep(mu, e, ch)) for mu, e in self.LATTICES]
+        assert edited == cold_sweeps(ch, self.LATTICES)
+
+    def test_equal_vectors_give_equal_sweeps(self):
+        ch, _ = draw(nt=3, seed=22)
+        twin = replace(ch, h_sp=ch.h_sp.copy(), h_se=ch.h_se.copy(), h_ss=ch.h_ss.copy())
+        for mu, e in self.LATTICES:
+            assert sweep_bytes(boundary_sweep(mu, e, ch)) == sweep_bytes(boundary_sweep(mu, e, twin))
+
+    @pytest.mark.parametrize("nt", [2, 4])
+    def test_memoized_arrays_are_read_only(self, nt):
+        ch, _ = draw(nt=nt, seed=23)
+        sweep = boundary_sweep(sample_simplex(3, 4), DIRECTION_SUPPRESS_PRIMARY, ch)
+        with pytest.raises(ValueError):
+            sweep.basis[0, 0] = 0.0
+        B, terms, ht3, comp = pgr._span_data(ch.secondary_vectors().tobytes(), 3)
+        assert (comp is None) == (nt == 2)
+        for arr in (B, terms, ht3, *(comp or ())):
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
 
 
 class TestExportBoundary:
