@@ -20,10 +20,11 @@ from leasesec import (
     secrecy_rate_jd,
     secrecy_rate_sd,
 )
-from leasesec.solver import brute_force_jd, brute_force_sd, solve_jd, solve_sd
+from leasesec.solver import brute_force_jd, brute_force_sd, solve_jd, solve_sd, unit_sweeps
 
 p = SystemParams.from_snr_db(10.0, alpha=0.5, n_t=2)
 ch = sample_channels(p, TrialSeed(42, 8))
+sweeps = unit_sweeps(ch)  # both solvers then read one search
 
 print("Scenario: 10 dB, two secondary antennas, QoS fraction 0.5")
 print(f"  peaceful bound (no eavesdropper) : {peaceful_rate(ch, p):.4f} bits")
@@ -37,8 +38,8 @@ print(f"  secondary rate {secondary_rate(mrt, ch, p):.4f} bits, "
       f"secrecy {secrecy_rate_sd(mrt, ch, p):.4f} bits")
 
 for name, res, oracle in (
-    ("noise-treating eavesdropper", solve_sd(ch, p), brute_force_sd(ch, p)),
-    ("joint-decoding eavesdropper", solve_jd(ch, p), brute_force_jd(ch, p)),
+    ("noise-treating eavesdropper", solve_sd(ch, p, sweeps=sweeps), brute_force_sd(ch, p)),
+    ("joint-decoding eavesdropper", solve_jd(ch, p, sweeps=sweeps), brute_force_jd(ch, p)),
 ):
     print(f"\nOptimal beamformer, {name}:")
     with np.printoptions(precision=4, suppress=True):
@@ -51,6 +52,6 @@ for name, res, oracle in (
     print(f"  brute-force check: {oracle.secrecy_bits:.4f} bits "
           f"(difference {res.secrecy_bits - oracle.secrecy_bits:+.2e})")
 
-val_jd, regime = secrecy_rate_jd(solve_sd(ch, p).w, ch, p)
+val_jd, regime = secrecy_rate_jd(solve_sd(ch, p, sweeps=sweeps).w, ch, p)
 print("\nThe single-user-optimal beam, judged against a joint decoder, "
       f"would get {val_jd:.4f} bits ({regime.value}).")

@@ -213,6 +213,8 @@ def _cmd_sweep(args, nt_default: tuple, snr_default: tuple) -> int:
     if overrides["snr_db"] is None and args.config is None:
         overrides["snr_db"] = list(snr_default)
     cfg = parse_config(args.config, overrides)
+    if args.workers < 1:  # before --out is truncated
+        raise ConfigError(f"workers must be >= 1, got {args.workers}")
     stream, close = _out_stream(args.out)
     try:
         rows = run_sweep(cfg, workers=args.workers)

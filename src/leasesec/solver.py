@@ -9,22 +9,23 @@ fixed direction the best power has a closed form (_jd_powers), so power is
 computed, never searched: the free-power pools score each direction at the
 budget and at its exact best power under each QoS bound of the call.
 
-One search engine, _search, serves solve_sd, solve_jd and solve_cell: each
-pool runs a coarse simplex lattice first, then walks a shrinking local
-lattice around its best rows a few times, and every batch the walks
-evaluate is scored once, for both decoders, and folded into the running
-winner of every (decoder, alpha) cell.  The refinement is what pushes the
-worst-case gap to the continuous optimum below the millibit level, since
-constrained optima sit on QoS or branch boundaries that a fixed lattice
-straddles.  Brute-force oracles maximize the same objectives over dense
-angular grids (random directions for n_t >= 3) and exist purely to validate
-the boundary parameterization; they share nothing with it but the rate
-formulas and, for the joint decoder, the exact power of each direction.
+One search engine, _search, walks the same four pools for every entry
+point: each runs a coarse simplex lattice, then walks a shrinking local
+lattice around its best rows, and every batch is scored once, for both
+decoders, and folded into every (decoder, alpha) cell.  solve_sd and
+solve_jd read one standalone search per channel draw; solve_cell runs a
+shorter one over its alphas.  The refinement pushes the worst-case gap to
+the continuous optimum below the millibit level, since constrained optima
+sit on QoS or branch boundaries that a fixed lattice straddles.
+Brute-force oracles maximize the same objectives over dense angular grids
+(random directions for n_t >= 3) and exist purely to validate the boundary
+parameterization; they share nothing with it but the rate formulas and,
+for the joint decoder, the exact power of each direction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -88,7 +89,7 @@ SEED_SEPARATION = 3.0  # in units of the coarse lattice spacing
 CELL_WALK_SEEDS = 1
 CELL_WALK_ROUNDS = 2
 
-_POOLS = ("S1", "S2", "S3")
+_POOLS = ("SD", "S1", "S2", "S3")  # SD: the single-user pool on the S1 family
 # A joint-decoding candidate is labelled by its boundary family.
 _FAMILIES = {
     DIRECTION_SUPPRESS_PRIMARY: "S1",
@@ -125,28 +126,26 @@ class UnitSweeps:
 
     Eigenvectors depend only on the channels and weights, never on the
     transmit powers, so one UnitSweeps serves every (SNR, alpha, decoder)
-    cell that shares the channel realization.  s2 and s3 are None when only
-    the single-user family was swept (solve_sd without sweeps).  The
-    two-weight family s3 has the finer lattice, resolution TWO_TERM_FACTOR * m.
+    cell that shares the channel realization.  The two-weight family s3 has
+    the finer lattice, resolution TWO_TERM_FACTOR * m.  searches holds the
+    cells of each standalone search run on these sweeps (_standalone), so
+    solve_sd and solve_jd on one draw share a single search.
     """
 
     s1: SweepResult
-    s2: SweepResult | None
-    s3: SweepResult | None
+    s2: SweepResult
+    s3: SweepResult
     m: int
+    searches: dict = field(default_factory=dict, compare=False, repr=False)
 
     def sweep(self, pool: str) -> SweepResult:
         return {"S1": self.s1, "S2": self.s2, "S3": self.s3}[pool]
 
 
-def _require_general_position(ch: ChannelSet) -> None:
-    if not ch.general_position():
-        raise DegenerateChannelError("channel vectors are not in general position")
-
-
 def unit_sweeps(ch: ChannelSet, m: int = DEFAULT_RESOLUTION) -> UnitSweeps:
     """All three candidate-family sweeps for one channel realization."""
-    _require_general_position(ch)
+    if not ch.general_position():
+        raise DegenerateChannelError("channel vectors are not in general position")
     return UnitSweeps(
         s1=boundary_sweep(sample_simplex(3, m), DIRECTION_SUPPRESS_PRIMARY, ch),
         s2=boundary_sweep(sample_simplex(3, m), DIRECTION_SUPPRESS_PRIMARY_AND_EVE, ch),
@@ -325,10 +324,10 @@ def _pool_powers(sweep: SweepResult, pool: str, ch, p, r_mins, levels=None):
             np.concatenate([np.arange(L), rows]))
 
 
-def _search(ch, base, alphas, pools, sweeps, seeds, rounds, levels=None) -> dict:
+def _search(ch, base, alphas, sweeps, seeds, rounds, levels=None) -> dict:
     """Walk-and-fold search for the (decoder, alpha) cells of one channel draw.
 
-    For each alpha, each of the pools (SD: the single-user rate on the S1
+    For each alpha, every pool in _POOLS (SD: the single-user rate on the S1
     family; S1, S2 and S3: the joint-decoding rate on their own families,
     under their branch conditions) walks for `rounds` rounds from up to
     `seeds` well-separated feasible coarse rows.  When the QoS bound cuts
@@ -340,8 +339,8 @@ def _search(ch, base, alphas, pools, sweeps, seeds, rounds, levels=None) -> dict
     families every alpha's exact power) is scored for both decoders the
     first time it is seen and folded, in first-seen order, into every
     (decoder, alpha) cell's running winner under that cell's QoS mask
-    alone; secrecy and the secondary rate do not depend on alpha.  The
-    pools choose only which batches are seen.  The walks share one memo of
+    alone; secrecy and the secondary rate do not depend on alpha.  So every
+    cell takes its answer from one candidate set.  The walks share one memo of
     refined lattices and their scored batches; a walk batch seen again
     steers the walk but is not folded again.  Returns {(decoder, alpha):
     OptResult} for both decoders.
@@ -356,11 +355,12 @@ def _search(ch, base, alphas, pools, sweeps, seeds, rounds, levels=None) -> dict
         """(powers, rows, rss, {decoder: value}, g_se, {pool: in-branch mask})."""
         powers, rows = _pool_powers(sweep, _FAMILIES[sweep.e], ch, base,
                                     tuple(r_mins.values()), levels)
-        gains = sweep.unit_gains[rows] * powers[:, None]
-        rss = secondary_rate_from_gain(gains[:, 2], ch, base)
-        values = {"SD": sd_secrecy_from_gains(gains[:, 0], gains[:, 1], ch, base),
-                  "JD": jd_secrecy_from_gains(gains[:, 0], gains[:, 1], rss, ch, base)[0]}
-        return powers, rows, rss, values, gains[:, 1], {}
+        # One contiguous array per gain: the memo then keeps only g_se of them.
+        g_sp, g_se, g_ss = (sweep.unit_gains[:, k][rows] * powers for k in range(3))
+        rss = secondary_rate_from_gain(g_ss, ch, base)
+        values = {"SD": sd_secrecy_from_gains(g_sp, g_se, ch, base),
+                  "JD": jd_secrecy_from_gains(g_sp, g_se, rss, ch, base)[0]}
+        return powers, rows, rss, values, g_se, {}
 
     def fold(sweep, batch):
         powers, rows, rss, values, _, _ = batch
@@ -399,7 +399,7 @@ def _search(ch, base, alphas, pools, sweeps, seeds, rounds, levels=None) -> dict
 
     for alpha in alphas:
         r_min = r_mins[alpha]
-        for pool in pools:
+        for pool in _POOLS:
             family = "S1" if pool == "SD" else pool
             top = sweeps.sweep(family)
             spacing = 1.0 / (TWO_TERM_FACTOR * sweeps.m if family == "S3" else sweeps.m)
@@ -431,7 +431,7 @@ def _seed_rows(mu, rows, value, rss, keep, spacing, count: int):
         seeds.append(np.asarray(mu[rows[_top(value, rss, np.flatnonzero(allowed))]]))
         if len(seeds) >= count:
             break
-        allowed &= np.max(np.abs(mu[rows] - seeds[-1]), axis=1) >= SEED_SEPARATION * spacing
+        allowed &= (np.max(np.abs(mu - seeds[-1]), axis=1) >= SEED_SEPARATION * spacing)[rows]
     return seeds
 
 
@@ -444,6 +444,7 @@ def _result(best: _Best, ch: ChannelSet, p: SystemParams, decoder: str) -> OptRe
             "no candidate meets the QoS constraint, which full-power MRT always meets"
         )
     w = best.sweep.beamformer(best.row, best.power)
+    w.flags.writeable = False  # a standalone search's result may reach several callers
     if decoder == "SD":
         secrecy, regime = secrecy_rate_sd(w, ch, p), RegimeLabel.SINGLE_USER
         candidate = "SINGLE_USER"
@@ -462,6 +463,18 @@ def _result(best: _Best, ch: ChannelSet, p: SystemParams, decoder: str) -> OptRe
     )
 
 
+def _standalone(ch, p, sweeps, levels=None) -> dict:
+    """The cells of the standalone search at p.alpha, run once per channel draw
+    and kept on sweeps.  The key holds the bytes of all six channels, p and the
+    levels, so an edited or swapped channel never reads another draw's answer."""
+    sweeps = sweeps or unit_sweeps(ch)
+    key = (np.array([ch.h_pp, ch.h_pe, ch.h_ps, *ch.secondary_vectors().ravel()]).tobytes(),
+           p, levels if levels is None else np.asarray(levels, float).tobytes())
+    if key not in sweeps.searches:
+        sweeps.searches[key] = _search(ch, p, [p.alpha], sweeps, NUM_SEEDS, REFINE_ROUNDS, levels)
+    return sweeps.searches[key]
+
+
 def solve_sd(
     ch: ChannelSet,
     p: SystemParams,
@@ -470,20 +483,12 @@ def solve_sd(
 ) -> OptResult:
     """Best beamformer against a single-user-decoding eavesdropper.
 
-    Enumerates the three-weight boundary family at full power (then refines
-    locally) and keeps the feasible point with the largest secrecy rate.
-    power_levels exists only to let callers verify that transmit powers
-    below the budget never help; the default searches the budget alone.
+    The SD cell of the standalone search (_standalone) that solve_jd reads
+    too, so the joint-decoding answer never exceeds it.  power_levels
+    replaces the budget as the S1 family's powers; it exists only to let
+    callers verify that powers below the budget never help.
     """
-    if sweeps is None:
-        _require_general_position(ch)
-        coarse = boundary_sweep(
-            sample_simplex(3, DEFAULT_RESOLUTION), DIRECTION_SUPPRESS_PRIMARY, ch
-        )
-        sweeps = UnitSweeps(coarse, None, None, DEFAULT_RESOLUTION)
-    cells = _search(ch, p, (p.alpha,), ("SD",), sweeps, NUM_SEEDS, REFINE_ROUNDS,
-                    power_levels)
-    return cells[("SD", p.alpha)]
+    return _standalone(ch, p, sweeps, power_levels)[("SD", p.alpha)]
 
 
 def solve_jd(
@@ -493,20 +498,14 @@ def solve_jd(
 ) -> OptResult:
     """Best beamformer against a joint-decoding eavesdropper.
 
-    Three pools are searched: the three-weight family suppressing the
-    primary, at full power; the same with the eavesdropper suppressed too,
-    and the two-weight family over the primary and secondary channels,
-    both at full power and at each direction's exact best power under the
-    QoS bound.  Each pool's walks steer on the piecewise secrecy rate
-    under its branch condition and the QoS constraint.  The
-    answer is the best feasible candidate across all pools (ties go to the
-    first one evaluated), and its label is the boundary family it came
-    from: S1, S2 or S3.
+    The JD cell of the standalone search that solve_sd reads too.  Its
+    three joint-decoding pools walk the S1 family at full power, and the
+    S2 and S3 families at full power and at each direction's exact best
+    power under the QoS bound.  The answer is the best feasible candidate
+    the search visited (ties go to the first one evaluated), labelled by
+    its boundary family: S1, S2 or S3.
     """
-    if sweeps is None:
-        sweeps = unit_sweeps(ch)
-    cells = _search(ch, p, (p.alpha,), _POOLS, sweeps, NUM_SEEDS, REFINE_ROUNDS)
-    return cells[("JD", p.alpha)]
+    return _standalone(ch, p, sweeps)[("JD", p.alpha)]
 
 
 def solve_cell(
@@ -517,18 +516,16 @@ def solve_cell(
 ) -> dict:
     """Solve both decoders' cells at every alpha of one channel draw coherently.
 
-    Every pool walks (SD, S1, S2, S3), and all cells take their answer from
-    one candidate set: the coarse sweeps plus every refined lattice that
-    any walk visited.  So the joint-decoding value never exceeds the
+    Every pool of _POOLS walks, and all cells take their answer from one
+    candidate set: the coarse sweeps plus every refined lattice that any
+    walk visited.  So the joint-decoding value never exceeds the
     single-user value and raising alpha never raises either: each answer is
     an argmax over the same candidates (the free-power pools emit every
     alpha's exact power) under nested QoS filters and pointwise ordered
-    objectives.  The walks are shorter than those of solve_sd and solve_jd.
+    objectives.  Its walks are shorter than the standalone search's.
     Returns {(decoder, alpha): OptResult}.
     """
-    if sweeps is None:
-        sweeps = unit_sweeps(ch)
-    return _search(ch, base, alphas, ("SD",) + _POOLS, sweeps, CELL_WALK_SEEDS,
+    return _search(ch, base, alphas, sweeps or unit_sweeps(ch), CELL_WALK_SEEDS,
                    CELL_WALK_ROUNDS)
 
 

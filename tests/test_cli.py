@@ -191,6 +191,16 @@ class TestCommands:
         assert code == 2
         assert "config error: workers must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("snr_db, workers", [("10", "0"), ("nan", "1"), ("inf", "1")])
+    def test_failed_sweep_keeps_existing_out(self, snr_db, workers, tmp_path, capsys):
+        out = tmp_path / "keep.csv"
+        out.write_bytes(b"kept bytes\n")
+        code = main(["sweep-snr", "--nt", "2", "--trials", "1", "--snr-db", snr_db,
+                     "--workers", workers, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert out.read_bytes() == b"kept bytes\n"
+
     @pytest.mark.parametrize("instances", ["0", "-3"])
     def test_validate_instances_below_one_is_an_error(self, instances, capsys):
         assert main(["validate", "--quick", "--instances", instances]) == 2

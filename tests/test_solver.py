@@ -257,8 +257,9 @@ def reference_pick(value, rss, keep):
     return idx[np.lexsort((idx, -rss[idx], -value[idx]))[0]]
 
 
-def reference_batches(ch, base, alphas, pools, sweeps, seeds, rounds, levels=None):
-    """Every (pool, sweep, powers, rows) batch the walks evaluate, in order.
+def reference_batches(ch, base, alphas, sweeps, seeds, rounds, levels=None):
+    """Every (pool, sweep, powers, rows) batch the walks of all four pools
+    evaluate, in order.
 
     No memo: a lattice visited twice is eigensolved twice, and coarse
     batches are scored again for every alpha and pool."""
@@ -276,7 +277,7 @@ def reference_batches(ch, base, alphas, pools, sweeps, seeds, rounds, levels=Non
 
     for alpha in alphas:
         r_min = required_rate(ch, replace(base, alpha=alpha))
-        for pool in pools:
+        for pool in ("SD", "S1", "S2", "S3"):
             family = "S1" if pool == "SD" else pool
             coarse = sweeps.sweep(family)
             spacing = 1.0 / (4 * sweeps.m if family == "S3" else sweeps.m)
@@ -361,8 +362,9 @@ def assert_same_result(res, ref, where):
 
 class TestSolveCellParity:
     """solve_sd, solve_jd and solve_cell against a reference search that has
-    its own walk (no memo, every coarse batch scored per alpha and pool)
-    and picks each cell's winner by a full lexsort over every batch."""
+    its own walk of all four pools (no memo, every coarse batch scored per
+    alpha and pool) and picks each cell's winner by a full lexsort over
+    every batch."""
 
     ALPHAS = (0.0, 0.5, 0.8, 1.0)
 
@@ -373,8 +375,8 @@ class TestSolveCellParity:
         for snr_db in (0.0, 20.0):
             p = SystemParams.from_snr_db(snr_db, 0.0, nt)
             cell = solve_cell(ch, p, self.ALPHAS, sweeps=sweeps)
-            batches = reference_batches(ch, p, self.ALPHAS, ("SD", "S1", "S2", "S3"),
-                                        sweeps, solver_mod.CELL_WALK_SEEDS,
+            batches = reference_batches(ch, p, self.ALPHAS, sweeps,
+                                        solver_mod.CELL_WALK_SEEDS,
                                         solver_mod.CELL_WALK_ROUNDS)
             ref = reference_cells(ch, p, self.ALPHAS, ("SD", "JD"), batches)
             assert list(cell) == list(ref)
@@ -388,17 +390,18 @@ class TestSolveCellParity:
         for snr_db, alpha in ((0.0, 0.5), (20.0, 0.8)):
             p = SystemParams.from_snr_db(snr_db, alpha, nt)
             levels = [0.5 * p.p_s_max, p.p_s_max]
-            cases = (
-                ("SD", ("SD",), solve_sd(ch, p, sweeps=sweeps), None),
-                ("SD", ("SD",), solve_sd(ch, p), None),
-                ("SD", ("SD",), solve_sd(ch, p, levels, sweeps), levels),
-                ("JD", ("S1", "S2", "S3"), solve_jd(ch, p, sweeps=sweeps), None),
-            )
-            for dec, pools, res, levels in cases:
-                batches = reference_batches(ch, p, (alpha,), pools, sweeps, NUM_SEEDS,
-                                            REFINE_ROUNDS, levels)
-                want = reference_cells(ch, p, (alpha,), (dec,), batches)[(dec, alpha)]
-                assert_same_result(res, want, (snr_db, dec, levels))
+            cases = {
+                None: (("SD", solve_sd(ch, p, sweeps=sweeps)), ("SD", solve_sd(ch, p)),
+                       ("JD", solve_jd(ch, p, sweeps=sweeps)), ("JD", solve_jd(ch, p))),
+                tuple(levels): (("SD", solve_sd(ch, p, levels, sweeps)),
+                                ("SD", solve_sd(ch, p, levels))),
+            }
+            for lv, solved in cases.items():
+                batches = reference_batches(ch, p, (alpha,), sweeps, NUM_SEEDS,
+                                            REFINE_ROUNDS, lv)
+                ref = reference_cells(ch, p, (alpha,), ("SD", "JD"), batches)
+                for dec, res in solved:
+                    assert_same_result(res, ref[(dec, alpha)], (snr_db, dec, lv))
 
 
 class TestSolveJdNeverBelow:
@@ -413,13 +416,78 @@ class TestSolveJdNeverBelow:
                 ch = sample_channels(p, TrialSeed(4242, trial))
                 sweeps = unit_sweeps(ch)
                 jd = solve_jd(ch, p, sweeps=sweeps)
-                batches = reference_batches(ch, p, (alpha,), ("S1", "S2", "S3"), sweeps,
-                                            NUM_SEEDS, REFINE_ROUNDS)
+                batches = reference_batches(ch, p, (alpha,), sweeps, NUM_SEEDS,
+                                            REFINE_ROUNDS)
                 per_pool = per_pool_jd_reference(ch, p, batches)
                 sd = solve_sd(ch, p, sweeps=sweeps)
                 where = (trial, snr_db, alpha)
                 assert jd.secrecy_bits >= per_pool - 1e-12, where
                 assert jd.secrecy_bits <= sd.secrecy_bits + 1e-9, where
+
+
+class TestStandaloneSearch:
+    """solve_sd and solve_jd read the cells of one search per channel draw,
+    kept on the UnitSweeps the caller passes."""
+
+    @pytest.mark.parametrize("seed", [TrialSeed(1209015, 3), TrialSeed(1442011, 2)])
+    def test_jd_never_above_sd(self, seed):
+        # Solved by separate searches, JD came out above SD here by 2.8e-5
+        # and 1.17e-3 bits.
+        p = SystemParams.from_snr_db(10.0, 0.5, 2)
+        ch = sample_channels(p, seed)
+        for kw in ({"sweeps": unit_sweeps(ch)}, {}):
+            jd, sd = solve_jd(ch, p, **kw), solve_sd(ch, p, **kw)
+            assert jd.secrecy_bits <= sd.secrecy_bits + 1e-9, kw
+
+    @staticmethod
+    def count_sweeps(monkeypatch) -> list:
+        calls = []
+        real = solver_mod.boundary_sweep
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(solver_mod, "boundary_sweep", counting)
+        return calls
+
+    def test_second_solver_reuses_the_search(self, monkeypatch):
+        ch, p = draw(trial=3)
+        sweeps = unit_sweeps(ch)
+        calls = self.count_sweeps(monkeypatch)
+        sd = solve_sd(ch, p, sweeps=sweeps)
+        walked = len(calls)
+        assert walked > 0
+        solve_jd(ch, p, sweeps=sweeps)
+        assert solve_sd(ch, p, sweeps=sweeps) is sd
+        assert len(calls) == walked
+
+    def test_other_params_levels_or_channel_miss(self, monkeypatch):
+        ch, p = draw(trial=3)
+        sweeps = unit_sweeps(ch)
+        solve_sd(ch, p, sweeps=sweeps)
+        calls = self.count_sweeps(monkeypatch)
+
+        def assert_walks(solve):
+            walked = len(calls)
+            solve()
+            assert len(calls) > walked
+
+        assert_walks(lambda: solve_jd(ch, replace(p, alpha=0.3), sweeps))
+        assert_walks(lambda: solve_sd(ch, replace(p, sigma2_e=2.0), sweeps=sweeps))
+        assert_walks(lambda: solve_sd(ch, p, [p.p_s_max], sweeps))
+        ch.h_pe = 1.5 * ch.h_pe  # channels edited in place
+        assert_walks(lambda: solve_sd(ch, p, sweeps=sweeps))
+        ch.h_se[0] *= 1.1
+        assert_walks(lambda: solve_jd(ch, p, sweeps))
+
+    def test_returned_w_is_read_only(self):
+        ch, p = draw(trial=3)
+        sweeps = unit_sweeps(ch)
+        for res in (solve_sd(ch, p, sweeps=sweeps), solve_jd(ch, p, sweeps=sweeps),
+                    *solve_cell(ch, p, (0.5,), sweeps=sweeps).values()):
+            with pytest.raises(ValueError):
+                res.w[0] = 0.0
 
 
 class TestBestConsider:
